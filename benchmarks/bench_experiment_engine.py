@@ -1,12 +1,13 @@
-"""Experiment-engine wall-clock: serial vs ``jobs=4`` vs warm memo store.
+"""Experiment wall-clock: serial vs ``jobs=4`` vs warm artifact store.
 
 Three measurements, honestly labeled for the host they run on:
 
-- **Pool scaling** on a sleep-bound multi-row latency table pushed
-  through the real engine (spawn pool, pipes, timeouts). Row latency is
-  the gating resource, so the fan-out speedup is visible even on a
-  single-core CI box, where CPU-bound rows cannot scale past 1x.
-- **Row memoization** on two representative real tables (westclass and
+- **Pool scaling** on a sleep-bound flat graph of independent row nodes
+  pushed through the real DAG scheduler (spawn pool, pipes, timeouts).
+  Node latency is the gating resource, so the fan-out speedup is
+  visible even on a single-core CI box, where CPU-bound rows cannot
+  scale past 1x.
+- **Artifact reuse** on two representative real tables (westclass and
   metacat): cold compute vs a warm store read through the disk tier
   (the in-memory tier is cleared in between). This is the speedup a
   re-run of an unchanged table gets regardless of core count.
@@ -24,11 +25,9 @@ import time
 from conftest import write_bench_artifact
 
 from repro.experiments import tables
-from repro.experiments.engine import (
-    RowSpec,
-    clear_memo_memory,
-    run_specs,
-)
+from repro.experiments.dag import ArtifactGraph, DagNode
+from repro.experiments.engine import clear_memo_memory, derive_row_seed
+from repro.experiments.scheduler import run_graph
 
 # Sleep long enough that the spawn pool's startup (~1-2s of interpreter
 # + import per worker, serialized on a 1-core host) amortizes away.
@@ -41,12 +40,14 @@ def _latency_row(row_seed, seconds):
     return {"slept": seconds}
 
 
-def _latency_specs():
-    return [
-        RowSpec(table="bench-latency", name=f"row{i}", runner=_latency_row,
-                kwargs={"seconds": LATENCY_SLEEP}, static={"Method": f"m{i}"})
-        for i in range(LATENCY_ROWS)
-    ]
+def _latency_graph():
+    graph = ArtifactGraph()
+    for i in range(LATENCY_ROWS):
+        name = f"bench-latency.row{i}"
+        graph.add(DagNode(kind="row", name=name, runner=_latency_row,
+                          kwargs={"seconds": LATENCY_SLEEP},
+                          seed=derive_row_seed(0, name)))
+    return graph
 
 
 def _timed(fn):
@@ -56,12 +57,14 @@ def _timed(fn):
 
 
 def _bench_latency_table() -> dict:
-    specs = _latency_specs()
+    graph = _latency_graph()
     serial, serial_s = _timed(
-        lambda: run_specs(specs, table_seed=0, jobs=1, use_cache=False))
+        lambda: run_graph(graph, jobs=1, use_cache=False))
     fanned, jobs4_s = _timed(
-        lambda: run_specs(specs, table_seed=0, jobs=4, use_cache=False))
-    assert [r["Method"] for r in fanned] == [r["Method"] for r in serial]
+        lambda: run_graph(graph, jobs=4, use_cache=False))
+    metrics = lambda results: {  # noqa: E731
+        name: payload["metrics"] for name, payload in results.items()}
+    assert metrics(fanned) == metrics(serial)
     return {
         "rows": LATENCY_ROWS,
         "row_sleep_seconds": LATENCY_SLEEP,
@@ -74,7 +77,7 @@ def _bench_latency_table() -> dict:
 def _bench_real_table(name: str, table_fn, cache_root: str) -> dict:
     cache_dir = os.path.join(cache_root, name)
     cold, cold_s = _timed(lambda: _run_cached(table_fn, cache_dir))
-    fanned, jobs4_s = _timed(  # pure compute: no memo reads or writes
+    fanned, jobs4_s = _timed(  # pure compute: no store reads or writes
         lambda: table_fn(seed=0, fast=True, jobs=4, use_cache=False))
     clear_memo_memory()  # warm run must come from the disk tier
     warm, warm_s = _timed(lambda: _run_cached(table_fn, cache_dir))
@@ -115,7 +118,7 @@ def test_experiment_engine_speedups():
                                      cache_root),
         "note": ("jobs-scaling is demonstrated on the sleep-bound latency "
                  "table; CPU-bound rows cannot exceed 1x on a single-core "
-                 "host, where re-runs gain from the memo store instead"),
+                 "host, where re-runs gain from the artifact store instead"),
     }
     write_bench_artifact("experiment_engine", report)
     print()

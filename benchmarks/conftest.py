@@ -19,7 +19,7 @@ import pytest
 
 FULL = os.environ.get("REPRO_BENCH_FULL") == "1"
 
-# Benches measure real compute: a warm row memo store would turn every
+# Benches measure real compute: a warm artifact store would turn every
 # table into a cache read. Explicit REPRO_ROW_CACHE=1 re-enables it.
 os.environ.setdefault("REPRO_ROW_CACHE", "0")
 

@@ -14,10 +14,10 @@ time and :mod:`repro.obs`) can depend on it without cycles.
 Knob inventory
 --------------
 ==========================  =============================================
-``REPRO_JOBS``              default worker count for table fan-out
-``REPRO_ROW_CACHE``         ``0`` disables the row memo store
-``REPRO_ROW_CACHE_DIR``     row memo store location
-``REPRO_ROW_TIMEOUT``       default per-row timeout (seconds)
+``REPRO_JOBS``              default worker count for DAG node fan-out
+``REPRO_ROW_CACHE``         ``0`` disables the DAG artifact store
+``REPRO_ROW_CACHE_DIR``     row-cache root (DAG store under ``dag/``)
+``REPRO_ROW_TIMEOUT``       default per-node timeout (seconds)
 ``REPRO_ENC_CACHE``         ``0`` disables the encode cache
 ``REPRO_ENC_CACHE_BYTES``   encode-cache memory-tier budget
 ``REPRO_ENC_CACHE_DIR``     encode-cache disk tier location
@@ -110,23 +110,26 @@ def env_path(name: str, default: "Path | None" = None) -> "Path | None":
 # ---------------------------------------------------------------------------
 
 def jobs() -> int:
-    """Default worker count for table fan-out (``REPRO_JOBS``, min 1)."""
+    """Default worker count for DAG node fan-out (``REPRO_JOBS``, min 1)."""
     return max(1, env_int("REPRO_JOBS", 1))
 
 
 def row_cache_enabled() -> bool:
-    """Whether the row memo store is active (``REPRO_ROW_CACHE``)."""
+    """Whether the DAG artifact store is active (``REPRO_ROW_CACHE``)."""
     return env_flag("REPRO_ROW_CACHE", True)
 
 
 def row_cache_dir() -> Path:
-    """Row memo store directory (``REPRO_ROW_CACHE_DIR`` or XDG default)."""
+    """Row-cache root (``REPRO_ROW_CACHE_DIR`` or XDG default).
+
+    The DAG artifact store lives in its ``dag/`` subdirectory.
+    """
     return env_path("REPRO_ROW_CACHE_DIR",
                     Path.home() / ".cache" / "repro" / "rows")
 
 
 def row_timeout() -> "float | None":
-    """Default per-row timeout in seconds (``REPRO_ROW_TIMEOUT``)."""
+    """Default per-node timeout in seconds (``REPRO_ROW_TIMEOUT``)."""
     value = env_float("REPRO_ROW_TIMEOUT", None)
     return value if value and value > 0 else None
 

@@ -2,23 +2,13 @@
 
 Tables compile into a content-addressed artifact DAG
 (:mod:`repro.experiments.dag`) executed by
-:mod:`repro.experiments.scheduler`; the flat :class:`RowSpec` engine
-remains as the compatibility shim and the worker substrate.
+:mod:`repro.experiments.scheduler` on the worker pool, seeding and
+artifact store of :mod:`repro.experiments.engine`.
 """
 
 from repro.experiments.dag import ArtifactGraph, DagNode, TableRequest
-from repro.experiments.engine import (
-    RowSpec,
-    RunReport,
-    derive_row_seed,
-    run_specs,
-    take_last_report,
-)
-from repro.experiments.runner import (
-    evaluate_flat,
-    evaluate_multilabel,
-    run_rows,
-)
+from repro.experiments.engine import derive_row_seed
+from repro.experiments.runner import evaluate_flat, evaluate_multilabel
 from repro.experiments.scheduler import (
     DagReport,
     run_graph,
@@ -31,17 +21,12 @@ __all__ = [
     "ArtifactGraph",
     "DagNode",
     "DagReport",
-    "RowSpec",
-    "RunReport",
     "TableRequest",
     "derive_row_seed",
     "evaluate_flat",
     "evaluate_multilabel",
     "run_graph",
     "run_requests",
-    "run_rows",
-    "run_specs",
-    "take_last_report",
     "take_last_dag_report",
     "tables",
     "figures",

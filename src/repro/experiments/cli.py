@@ -18,8 +18,9 @@ shares their corpus/encode nodes, warm re-runs reuse every node from the
 artifact store, and ``--select`` forces just the named subgraph to
 recompute (``table.row`` for one row node, ``+node`` to include its
 ancestors, ``node+`` its dependents). The ``[dag]`` footer reports
-reused-vs-executed node counts. ``cache-prune`` sweeps row-memo and
-DAG-artifact entries left behind by old source trees.
+reused-vs-executed node counts. ``cache-prune`` sweeps DAG artifacts
+left behind by old source trees, plus any leftover row-memo files of
+the retired flat row engine.
 
 ``--trace DIR`` (or ``REPRO_TRACE=DIR``) records the run through
 :mod:`repro.obs` and writes ``DIR/trace_<experiment>.jsonl``; render it
@@ -37,6 +38,7 @@ from repro import obs
 from repro.core import env as _env
 from repro.evaluation.reporting import format_table
 from repro.experiments import engine, figures, scheduler, tables
+from repro.experiments.dag import ArtifactGraph
 
 TABLES = {
     "westclass": (tables.westclass_table, "WeSTClass results table"),
@@ -88,40 +90,36 @@ def _dag_footer() -> "str | None":
             f"{report.seconds:.1f}s")
 
 
-def _engine_footer() -> "str | None":
-    report = engine.take_last_report()
-    if report is None:
-        return None
-    return (f"\n[engine] rows={report.rows} memo_hits={report.hits} "
-            f"computed={report.misses} errors={report.errors} "
-            f"timeouts={report.timeouts} jobs={report.jobs} "
-            f"{report.seconds:.1f}s")
-
-
 def _cache_prune(seed: int, fast: bool) -> int:
-    """Sweep row-memo and DAG-store entries from dead source trees.
+    """Sweep dead entries from the row-cache root and the DAG store.
 
-    Row entries survive on their stamped source digest. DAG artifacts
-    additionally survive when their content digest is reachable from the
-    currently compiled graphs — the scoped-digest scheme means a method
-    edit re-addresses only that method's subgraph, so untouched nodes'
-    artifacts stay live across source changes and must not be swept.
+    Top-level ``*.json`` files under the row-cache root are row-memo
+    entries of the retired flat row engine: no code reads them, so all
+    of them go. DAG artifacts survive on their stamped source digest or
+    when their content digest is reachable from the currently compiled
+    graphs — the scoped-digest scheme means a method edit re-addresses
+    only that method's subgraph, so untouched nodes' artifacts stay live
+    across source changes and must not be swept.
     """
     graph_digests: "set[str]" = set()
     for build in tables.REQUESTS.values():
-        from repro.experiments.dag import ArtifactGraph
-
         graph = ArtifactGraph()
         for node in build(seed, fast).nodes:
             graph.add(node)
         graph_digests.update(graph.digests().values())
     rows_dir = engine.default_cache_dir()
-    kept_rows, removed_rows = engine.RowMemo(rows_dir).prune()
-    kept_dag, removed_dag = engine.RowMemo(
-        scheduler.dag_store_dir(rows_dir)).prune(keep_keys=graph_digests)
-    print(f"rows: kept {kept_rows}, removed {removed_rows} ({rows_dir})")
-    print(f"dag:  kept {kept_dag}, removed {removed_dag} "
-          f"({scheduler.dag_store_dir(rows_dir)})")
+    removed_rows = 0
+    for path in sorted(rows_dir.glob("*.json")):
+        try:
+            path.unlink()
+        except OSError:
+            continue
+        removed_rows += 1
+    dag_dir = scheduler.dag_store_dir(rows_dir)
+    kept_dag, removed_dag = engine.RowMemo(dag_dir).prune(
+        keep_keys=graph_digests)
+    print(f"rows: removed {removed_rows} legacy row-memo entries ({rows_dir})")
+    print(f"dag:  kept {kept_dag}, removed {removed_dag} ({dag_dir})")
     return 0
 
 
@@ -142,7 +140,7 @@ def main(argv: "list | None" = None) -> int:
                         help="worker processes for table rows "
                              "(default: REPRO_JOBS or 1 = serial)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the row memo store for this run")
+                        help="disable the artifact store for this run")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-row timeout in seconds (parallel runs; "
                              "default: REPRO_ROW_TIMEOUT or none)")
@@ -208,7 +206,7 @@ def main(argv: "list | None" = None) -> int:
                 fn, description = TABLES[name]
                 rows = fn(seed=args.seed, fast=not args.full, **run_kwargs)
                 print(format_table(rows, title=description))
-                footer = _dag_footer() or _engine_footer()
+                footer = _dag_footer()
                 if footer:
                     print(footer)
     finally:

@@ -1,14 +1,12 @@
 """Typed artifact DAG for the experiment pipeline.
 
 The paper's experiment suite is a pipeline — corpus build → embeddings /
-PLM encodes → method fit → metric rows — but the row engine
-(:mod:`repro.experiments.engine`) memoizes whole rows: any change to a
-method, seed, or dataset recomputes everything beneath the row, and two
-tables that fit different methods on the same corpus re-derive identical
-corpora and encodes. This module is the dbt-style compile half of the
-fix: experiments *declare* their row pipelines as :class:`DagNode` s in
-an :class:`ArtifactGraph`, every node is **content-addressed** by a
-digest of ``(kind, runner, kwargs, seed, upstream digests, scoped source
+PLM encodes → method fit → metric rows — and two tables that fit
+different methods on the same corpus need identical corpora and
+encodes. This module is the dbt-style compile half: experiments
+*declare* their row pipelines as :class:`DagNode` s in an
+:class:`ArtifactGraph`, every node is **content-addressed** by a digest
+of ``(kind, runner, kwargs, seed, upstream digests, scoped source
 digest)``, and the scheduler (:mod:`repro.experiments.scheduler`) reuses
 any node whose digest is already in the artifact store — re-runs are
 proportional to what actually changed.
@@ -21,13 +19,14 @@ Three node kinds are in play today:
   through it, materializing hidden states into the shared
   :class:`~repro.core.enc_cache.EncodeCache` disk tier. One encode node
   serves every table (and every worker process) that needs it.
-- ``row`` — a method fit + metrics, the same module-level runners the
-  :class:`~repro.experiments.engine.RowSpec` path executes, so DAG
-  output is bit-identical to the legacy serial harness.
+- ``row`` — a method fit + metrics (a table row, or the streaming
+  pipeline's drift re-fit), seeded by
+  :func:`~repro.experiments.engine.derive_row_seed` of the table seed
+  and row name.
 
-**Scoped source digests.** The row engine's memo key hashes the whole
-``src/repro`` tree, so touching one method file busts every cached row.
-Here the tree is split into *units*: each ``methods/<pkg>`` package is
+**Scoped source digests.** Hashing the whole ``src/repro`` tree into
+every key would let one method edit bust every cached node. Instead the
+tree is split into *units*: each ``methods/<pkg>`` package is
 its own unit and everything else is the ``shared`` unit. A node's source
 component combines the shared unit with only the method units its
 declared classes live in (:func:`scope_for`), so touching
@@ -223,8 +222,7 @@ class DagNode:
     """One typed artifact in the experiment graph.
 
     ``runner(seed, **kwargs)`` must be a module-level picklable callable
-    (the same contract as :class:`~repro.experiments.engine.RowSpec`);
-    ``runner=None`` marks a static row emitted as-is. ``deps`` name
+    (nodes travel to spawn workers whole); ``runner=None`` marks a static row emitted as-is. ``deps`` name
     upstream nodes whose digests flow into this node's digest and whose
     materialized side artifacts (bundle caches, encode-cache shards)
     this node reads. ``scope`` lists the ``methods/<pkg>`` units whose

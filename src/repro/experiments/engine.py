@@ -1,74 +1,44 @@
-"""Parallel experiment engine: process-pool row fan-out + row memoization.
+"""Worker pool, seeding, and artifact store behind the experiment DAG.
 
-Every paper table is a list of independent rows (method x dataset x
-supervision cells), yet the seed harness ran them strictly serially and
-recomputed every row on every regeneration. This module executes
-:class:`RowSpec` lists with three independent layers:
+Every paper table compiles into a content-addressed artifact graph
+(:mod:`repro.experiments.dag`) that :mod:`repro.experiments.scheduler`
+runs — the one way a table row, or a drift re-fit, executes. This
+module holds the three pieces the scheduler builds on:
 
-.. note::
-   The flat :class:`RowSpec` path below is the *compatibility shim*:
-   tables now compile into the content-addressed artifact DAG
-   (:mod:`repro.experiments.dag`) and run through
-   :mod:`repro.experiments.scheduler`, which reuses this module's
-   worker pool, memo store, seeding, and error conventions node by
-   node. ``run_specs`` remains the supported entry point for ad-hoc
-   row lists and keeps the legacy row-memo semantics.
-
-- **Deterministic sharded seeding** — each row's method seed is derived
-  from ``(table_seed, row_name)`` by :func:`derive_row_seed`, so a row's
-  numbers depend only on its own identity, never on execution order or
+- **Deterministic sharded seeding** — each node's seed is derived from
+  ``(table_seed, node_name)`` by :func:`derive_row_seed`, so its numbers
+  depend only on its own identity, never on execution order or
   placement. Parallel output is therefore bit-identical to serial output.
-- **Process-pool fan-out** — rows run on a ``multiprocessing`` (spawn)
-  worker pool sized by ``jobs`` / ``REPRO_JOBS``. Workers are persistent
-  (the in-process PLM/bundle caches amortize across the rows a worker
-  executes) and communicate over duplex pipes, so a hung or crashed
-  worker can be terminated and replaced without touching its siblings.
-  A per-row ``timeout`` (or ``REPRO_ROW_TIMEOUT``) turns runaway rows
-  into ``error`` rows instead of wedged tables.
-- **Spec-keyed memoization** — finished rows are stored content-addressed
-  under ``~/.cache/repro/rows`` (override: ``REPRO_ROW_CACHE_DIR``),
-  keyed by a digest of table name, row name, derived seed, fast/full
-  flag, dataset fingerprint, runner kwargs, and a digest of the ``repro``
-  source tree. Unchanged rows are cache hits on re-run; any code, seed,
-  or dataset change busts the key. Writes are atomic
-  (tmp-then-``os.replace``) and an in-memory tier fronts the disk tier.
-  Error/timeout rows are never memoized.
+- **Spawn worker pool** — :class:`_Worker` is one persistent
+  ``multiprocessing`` (spawn) process plus its duplex pipe; the
+  in-process PLM/bundle caches amortize across the nodes a worker
+  executes, and a hung or crashed worker can be terminated and replaced
+  without touching its siblings. :func:`_execute_row` runs one node
+  (``node.runner(seed, **node.kwargs)``) and turns its failures into the
+  ``error``-column convention: ``MemoryError`` renders as the papers'
+  literal ``"-"``; any other exception yields ``ExcName: message``.
+- **Artifact store** — :class:`RowMemo` keeps finished node payloads as
+  JSON files under ``<row-cache>/dag`` (``REPRO_ROW_CACHE_DIR`` sets the
+  row-cache root), fronted by an in-memory tier keyed by store directory
+  and node digest. Writes are atomic (tmp-then-``os.replace``); corrupt
+  entries read as misses.
 
-Failures follow the existing ``error``-column convention of
-``runner.run_rows``: ``MemoryError`` renders as the papers' literal
-``"-"``; any other exception, a worker crash, or a timeout yields an
-``error`` cell while the rest of the table completes.
-
-Workers compose with the PR-1 encode cache: when the pool spawns and no
-``REPRO_ENC_CACHE_DIR`` is configured, the engine points workers at a
-shared on-disk tier next to the row store, so documents encoded by one
-worker are disk hits for every other.
-
-When tracing is enabled (:mod:`repro.obs`), every executed row runs
-under a ``row:<table>/<name>`` span. Parallel rows record into a
-short-lived worker-side tracer whose export travels back through the
-result pipe alongside the metrics; the parent absorbs those payloads in
-spec order — not completion order — so the trace *content* of a
-``--jobs N`` run is deterministic (only timings vary). Memo hits and
-misses, executed/error/timeout rows all tick :func:`repro.obs.count`
-counters mirroring the :class:`RunReport` fields.
+When tracing is enabled (:mod:`repro.obs`), a worker runs each node under
+a ``node:<name>`` span inside a short-lived worker-side tracer whose
+export travels back through the result pipe alongside the metrics.
 
 Env knobs (all read through :mod:`repro.core.env`): ``REPRO_JOBS``
-(default worker count), ``REPRO_ROW_CACHE`` (``0`` disables
-memoization), ``REPRO_ROW_CACHE_DIR`` (store location),
-``REPRO_ROW_TIMEOUT`` (default per-row timeout, seconds).
+(default worker count), ``REPRO_ROW_CACHE`` (``0`` disables the store),
+``REPRO_ROW_CACHE_DIR`` (store location), ``REPRO_ROW_TIMEOUT`` (default
+per-node timeout, seconds).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _wait_connections
 from pathlib import Path
 
 from repro import obs
@@ -79,64 +49,17 @@ from repro.core import env as _env
 SKIP_ROW = {"__skip__": True}
 
 _ROW_SEED_SPAN = 2**31
-_POLL_SECONDS = 0.05
 
 
 # ---------------------------------------------------------------------------
-# Specs and reports
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RowSpec:
-    """One table row: a picklable runner plus everything that keys it.
-
-    ``runner(row_seed, **kwargs)`` must be a module-level callable
-    returning the row's metric columns; closures over live PLM/bundle
-    objects are not allowed (workers rebuild those from ``kwargs``).
-    ``static`` columns (dataset/method labels) are merged in first.
-    A spec with ``runner=None`` is emitted as-is — the tables' literal
-    pre-excluded entries.
-    """
-
-    table: str
-    name: str
-    runner: "object" = None
-    kwargs: dict = field(default_factory=dict)
-    static: dict = field(default_factory=dict)
-    dataset: str = ""
-    fast: bool = True
-
-
-@dataclass
-class RunReport:
-    """What one :func:`run_specs` call did (CLI footer material)."""
-
-    rows: int = 0
-    hits: int = 0
-    misses: int = 0
-    errors: int = 0
-    timeouts: int = 0
-    jobs: int = 1
-    seconds: float = 0.0
-
-
-_LAST_REPORT: "list[RunReport]" = []
-
-
-def take_last_report() -> "RunReport | None":
-    """Pop the report of the most recent :func:`run_specs` call."""
-    return _LAST_REPORT.pop() if _LAST_REPORT else None
-
-
-# ---------------------------------------------------------------------------
-# Seeding and memo keys
+# Seeding
 # ---------------------------------------------------------------------------
 
 def derive_row_seed(table_seed: int, row_name: str) -> int:
-    """Deterministic per-row seed from ``(table_seed, row_name)``.
+    """Deterministic per-node seed from ``(table_seed, row_name)``.
 
     Stable across processes and Python versions (blake2b, not ``hash``),
-    so a row produces identical numbers wherever and whenever it runs.
+    so a node produces identical numbers wherever and whenever it runs.
     """
     payload = f"{int(table_seed)}\x1f{row_name}".encode("utf-8")
     digest = hashlib.blake2b(payload, digest_size=8).digest()
@@ -147,10 +70,10 @@ _SOURCE_VERSION: "list[str]" = []
 
 
 def source_version() -> str:
-    """Digest of the ``repro`` source tree (memo-key component).
+    """Digest of the ``repro`` source tree (the store's ``tree`` stamp).
 
-    Hashing file contents (not mtimes) keeps keys stable across
-    checkouts while busting every cached row when any source changes.
+    Hashing file contents (not mtimes) keeps the stamp stable across
+    checkouts while changing whenever any source changes.
     """
     if _SOURCE_VERSION:
         return _SOURCE_VERSION[0]
@@ -168,33 +91,15 @@ def source_version() -> str:
     return _SOURCE_VERSION[0]
 
 
-def memo_key(spec: RowSpec, row_seed: int) -> str:
-    """Content-address of one row's result."""
-    payload = json.dumps(
-        {
-            "table": spec.table,
-            "row": spec.name,
-            "seed": row_seed,
-            "fast": spec.fast,
-            "dataset": spec.dataset,
-            "kwargs": spec.kwargs,
-            "source": source_version(),
-        },
-        sort_keys=True,
-        default=repr,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:40]
-
-
 # ---------------------------------------------------------------------------
-# Memo store
+# Artifact store
 # ---------------------------------------------------------------------------
 
-_MEMO_MEMORY: "dict[str, dict]" = {}
+_MEMO_MEMORY: "dict[tuple[str, str], dict]" = {}
 
 
 def default_cache_dir() -> Path:
-    """Row-store directory (``REPRO_ROW_CACHE_DIR`` or the XDG default)."""
+    """Row-cache root (``REPRO_ROW_CACHE_DIR`` or the XDG default)."""
     return _env.row_cache_dir()
 
 
@@ -204,13 +109,18 @@ def clear_memo_memory() -> None:
 
 
 class RowMemo:
-    """Two-tier (memory + JSON files) store of finished row payloads."""
+    """Two-tier (memory + JSON files) store of finished node payloads."""
 
     def __init__(self, directory: "str | Path"):
         self.directory = Path(directory)
 
+    def _memory_key(self, key: str) -> tuple:
+        # The memory tier is shared by every store in the process, so a
+        # digest alone must not answer for a different directory.
+        return (str(self.directory), key)
+
     def get(self, key: str) -> "dict | None":
-        payload = _MEMO_MEMORY.get(key)
+        payload = _MEMO_MEMORY.get(self._memory_key(key))
         if payload is None:
             try:
                 raw = (self.directory / f"{key}.json").read_text()
@@ -219,15 +129,16 @@ class RowMemo:
                 return None
             if not isinstance(payload, dict) or "metrics" not in payload:
                 return None  # corrupt entry: treat as a miss
-            _MEMO_MEMORY[key] = payload
+            _MEMO_MEMORY[self._memory_key(key)] = payload
         # Callers mutate rows (merge static columns, significance
         # markers); hand out a copy so tiers stay pristine.
         return {"metrics": dict(payload["metrics"]),
                 "seconds": payload.get("seconds", 0.0)}
 
     def put(self, key: str, payload: dict) -> None:
-        _MEMO_MEMORY[key] = {"metrics": dict(payload["metrics"]),
-                             "seconds": payload.get("seconds", 0.0)}
+        _MEMO_MEMORY[self._memory_key(key)] = {
+            "metrics": dict(payload["metrics"]),
+            "seconds": payload.get("seconds", 0.0)}
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             # Stamp the source digest the entry was written under so
@@ -247,11 +158,11 @@ class RowMemo:
 
         An entry survives if its stamped ``tree`` equals ``keep_digest``
         (default: the current :func:`source_version`) or its key is in
-        ``keep_keys`` — the escape hatch for the DAG artifact store,
-        whose scoped digests can outlive a whole-tree change (the
-        ``cache-prune`` CLI passes the compiled graph's digests).
-        Unstamped or unreadable entries are removed: they predate the
-        stamp and cannot be keyed by any current run.
+        ``keep_keys`` — node digests are scoped, so an artifact can
+        outlive a whole-tree change (the ``cache-prune`` CLI passes the
+        compiled graphs' digests). Unstamped or unreadable entries are
+        removed: they predate the stamp and cannot be keyed by any
+        current run.
         """
         if keep_digest is None:
             keep_digest = source_version()
@@ -279,39 +190,35 @@ class RowMemo:
                 path.unlink()
             except OSError:
                 continue
-            _MEMO_MEMORY.pop(key, None)
+            _MEMO_MEMORY.pop(self._memory_key(key), None)
             removed += 1
         return (kept, removed)
 
 
 # ---------------------------------------------------------------------------
-# Row execution (shared by the serial path and the workers)
+# Node execution (shared by the serial path and the workers)
 # ---------------------------------------------------------------------------
 
-def _execute_row(spec: RowSpec, row_seed: int) -> tuple:
-    """Run one row; exceptions become ``error`` cells, never escapes."""
+def _execute_row(spec, row_seed: int) -> tuple:
+    """Run one node; exceptions become ``error`` cells, never escapes.
+
+    ``spec`` is a :class:`~repro.experiments.dag.DagNode` (anything with
+    ``.runner`` and ``.kwargs``).
+    """
     start = time.perf_counter()
     try:
         metrics = spec.runner(row_seed, **spec.kwargs)
     except MemoryError:  # the tables' literal "-" case
         metrics = {"error": "-"}
-    except Exception as exc:  # noqa: BLE001 - isolate row failures
+    except Exception as exc:  # noqa: BLE001 - isolate node failures
         metrics = {"error": f"{type(exc).__name__}: {exc}"}
     return metrics, time.perf_counter() - start
 
 
-def _row_span_name(spec: RowSpec) -> str:
-    # An empty table marks a DAG node riding the worker protocol
-    # (repro.experiments.scheduler); its span carries the node name.
-    if not spec.table:
-        return f"node:{spec.name}"
-    return f"row:{spec.table}/{spec.name}"
-
-
 def _worker_main(conn) -> None:
-    """Worker loop: receive ``(index, spec, row_seed, trace)``, send results.
+    """Worker loop: receive ``(task_id, node, seed, trace)``, send results.
 
-    When ``trace`` is set the row runs under a fresh worker-side tracer;
+    When ``trace`` is set the node runs under a fresh worker-side tracer;
     its exported spans and counters ride back with the metrics and the
     parent re-roots them into the run trace (:meth:`Tracer.absorb`).
     """
@@ -322,17 +229,18 @@ def _worker_main(conn) -> None:
             return
         if task is None:
             return
-        index, spec, row_seed, trace = task
+        task_id, spec, row_seed, trace = task
         payload = None
         if trace:
-            obs.enable(_row_span_name(spec))
-            with obs.span(_row_span_name(spec)):
+            name = f"node:{spec.name}"
+            obs.enable(name)
+            with obs.span(name):
                 metrics, seconds = _execute_row(spec, row_seed)
             payload = obs.disable().export()
         else:
             metrics, seconds = _execute_row(spec, row_seed)
         try:
-            conn.send((index, metrics, seconds, payload))
+            conn.send((task_id, metrics, seconds, payload))
         except (BrokenPipeError, OSError):
             return
 
@@ -346,7 +254,7 @@ class _Worker:
                                    daemon=True)
         self.process.start()
         child.close()
-        self.task = None  # (index, spec, row_seed) currently running
+        self.task = None  # (task_id, node, seed, trace) currently running
         self.deadline = None
 
     def assign(self, task: tuple, timeout: "float | None") -> None:
@@ -368,83 +276,12 @@ class _Worker:
 
 
 def _enc_cache_dir_for(cache_dir: Path) -> Path:
-    """Shared encode-cache disk tier next to the row store."""
+    """Shared encode-cache disk tier next to the row-cache root."""
     return Path(cache_dir).parent / "enc"
 
 
-def _run_pool(tasks: list, jobs: int, timeout: "float | None",
-              cache_dir: Path, record) -> None:
-    """Fan ``tasks`` out over a spawn pool; ``record(i, metrics, s, kind)``.
-
-    Timeouts and crashes terminate only the affected worker; a fresh one
-    takes its slot and the remaining rows proceed.
-    """
-    ctx = multiprocessing.get_context("spawn")
-    pending = deque(tasks)
-    remaining = len(tasks)
-
-    # Compose with the PR-1 encode cache: point workers (which inherit
-    # the environment at spawn time) at a shared disk tier so hidden
-    # states encoded by one worker are hits for every other.
-    shared_enc = None
-    if _env.enc_cache_enabled() and _env.enc_cache_dir() is None:
-        shared_enc = str(_enc_cache_dir_for(cache_dir))
-        os.environ["REPRO_ENC_CACHE_DIR"] = shared_enc
-
-    workers = []
-    try:
-        workers = [_Worker(ctx) for _ in range(min(jobs, remaining))]
-        while remaining:
-            for slot, worker in enumerate(workers):
-                if worker.task is None:
-                    if not pending:
-                        continue
-                    if not worker.process.is_alive():
-                        worker.stop(force=True)
-                        workers[slot] = worker = _Worker(ctx)
-                    worker.assign(pending.popleft(), timeout)
-            busy = [w for w in workers if w.task is not None]
-            ready = _wait_connections([w.conn for w in busy],
-                                      timeout=_POLL_SECONDS)
-            now = time.monotonic()
-            for slot, worker in enumerate(workers):
-                if worker.task is None:
-                    continue
-                index = worker.task[0]
-                if worker.conn in ready:
-                    try:
-                        got, metrics, seconds, payload = worker.conn.recv()
-                    except (EOFError, OSError):
-                        record(index, {"error": "worker crashed"}, 0.0, "crash")
-                        remaining -= 1
-                        worker.stop(force=True)
-                        workers[slot] = _Worker(ctx)
-                        continue
-                    record(got, metrics, seconds, "done", payload)
-                    remaining -= 1
-                    worker.task = None
-                    worker.deadline = None
-                elif worker.deadline is not None and now > worker.deadline:
-                    record(index,
-                           {"error": f"timeout after {timeout:g}s"},
-                           float(timeout), "timeout")
-                    remaining -= 1
-                    worker.stop(force=True)
-                    workers[slot] = _Worker(ctx)
-                elif not worker.process.is_alive():
-                    record(index, {"error": "worker crashed"}, 0.0, "crash")
-                    remaining -= 1
-                    worker.stop(force=True)
-                    workers[slot] = _Worker(ctx)
-    finally:
-        for worker in workers:
-            worker.stop()
-        if shared_enc and os.environ.get("REPRO_ENC_CACHE_DIR") == shared_enc:
-            del os.environ["REPRO_ENC_CACHE_DIR"]
-
-
 # ---------------------------------------------------------------------------
-# Entry point
+# Knob resolution (explicit argument, else the environment)
 # ---------------------------------------------------------------------------
 
 def _resolve_jobs(jobs: "int | None") -> int:
@@ -463,95 +300,3 @@ def _resolve_timeout(timeout: "float | None") -> "float | None":
     if timeout is not None:
         return float(timeout) if timeout > 0 else None
     return _env.row_timeout()
-
-
-def run_specs(specs: list, table_seed: int = 0, *, jobs: "int | None" = None,
-              use_cache: "bool | None" = None,
-              timeout: "float | None" = None,
-              cache_dir: "str | Path | None" = None) -> list:
-    """Execute :class:`RowSpec` s into table rows (the serial-loop successor).
-
-    Row order always matches spec order. ``jobs <= 1`` runs in-process
-    (no pool, timeout not enforced); ``jobs > 1`` fans misses out over a
-    spawn pool. Every computed row gains a ``seconds`` wall-clock column.
-    """
-    start = time.perf_counter()
-    jobs = _resolve_jobs(jobs)
-    timeout = _resolve_timeout(timeout)
-    cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    memo = RowMemo(cache_dir) if _resolve_use_cache(use_cache) else None
-    trace = obs.enabled()
-
-    report = RunReport(jobs=jobs)
-    results: "list[dict | None]" = [None] * len(specs)
-    seeds = [derive_row_seed(table_seed, spec.name) for spec in specs]
-    keys = [memo_key(spec, seed) if memo else None
-            for spec, seed in zip(specs, seeds)]
-
-    tasks = []
-    for i, spec in enumerate(specs):
-        if spec.runner is None:
-            results[i] = {"metrics": {}, "seconds": 0.0}
-            continue
-        if memo is not None:
-            hit = memo.get(keys[i])
-            if hit is not None:
-                results[i] = hit
-                report.hits += 1
-                obs.count("row_memo.hits")
-                continue
-        tasks.append((i, spec, seeds[i], trace))
-    report.misses = len(tasks)
-    obs.count("row_memo.misses", len(tasks))
-
-    traces: "dict[int, dict]" = {}
-
-    def record(index: int, metrics: dict, seconds: float,
-               kind: str = "done", payload: "dict | None" = None) -> None:
-        if results[index] is not None:  # late result after timeout/crash
-            return
-        results[index] = {"metrics": metrics, "seconds": seconds}
-        if payload is not None:
-            traces[index] = payload
-        if "error" in metrics:
-            report.errors += 1
-            obs.count("rows.errors")
-            if kind == "timeout":
-                report.timeouts += 1
-                obs.count("rows.timeouts")
-        else:
-            obs.count("rows.executed")
-            if memo is not None:
-                memo.put(keys[index], results[index])
-
-    if tasks:
-        if jobs <= 1:
-            for index, spec, row_seed, _ in tasks:
-                with obs.span(_row_span_name(spec)):
-                    metrics, seconds = _execute_row(spec, row_seed)
-                record(index, metrics, seconds)
-        else:
-            _run_pool(tasks, jobs, timeout, cache_dir, record)
-            if trace:
-                # Absorb worker traces in spec order — not completion
-                # order — so parallel trace content is deterministic.
-                for index, _, _, _ in tasks:
-                    payload = traces.get(index)
-                    if payload is not None:
-                        obs.tracer().absorb(payload)
-
-    rows = []
-    for spec, payload in zip(specs, results):
-        metrics = payload["metrics"]
-        if metrics.get("__skip__"):
-            continue
-        row = dict(spec.static)
-        row.update(metrics)
-        row["seconds"] = round(float(payload["seconds"]), 3)
-        rows.append(row)
-
-    report.rows = len(rows)
-    report.seconds = time.perf_counter() - start
-    _LAST_REPORT.clear()
-    _LAST_REPORT.append(report)
-    return rows

@@ -2,11 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from repro import obs
 from repro.core.types import Corpus
 from repro.datasets.bundle import DatasetBundle
 from repro.evaluation.metrics import macro_f1, micro_f1
@@ -48,28 +43,3 @@ def evaluate_multilabel(classifier, bundle: DatasetBundle, supervision,
         if k > 1:
             out[f"ndcg@{k}"] = ndcg_at_k(gold, ranking, k)
     return out
-
-
-def run_rows(specs: list, evaluate) -> list:
-    """Evaluate ``(row_name, factory, supervision)`` specs into table rows.
-
-    ``evaluate`` maps (classifier, supervision) -> metric dict. Failures
-    surface as rows with an ``error`` column rather than killing the
-    whole table (mirrors the papers' "-" entries). Every row carries a
-    ``seconds`` wall-clock column, so tables double as a perf
-    trajectory. This is the legacy serial path; table generation goes
-    through :mod:`repro.experiments.engine`, which parallelizes and
-    memoizes the same row shape.
-    """
-    rows = []
-    for name, factory, supervision in specs:
-        row = {"Method": name}
-        start = time.perf_counter()
-        with obs.span(f"row:{name}"):
-            try:
-                row.update(evaluate(factory(), supervision))
-            except MemoryError:  # the tables' literal "-" case
-                row["error"] = "-"
-        row["seconds"] = round(time.perf_counter() - start, 3)
-        rows.append(row)
-    return rows

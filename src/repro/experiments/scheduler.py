@@ -1,14 +1,17 @@
 """Dependency-aware scheduler for the experiment artifact DAG.
 
 This is the run half of the compile-then-run split
-(:mod:`repro.experiments.dag` is the compile half). Given an
+(:mod:`repro.experiments.dag` is the compile half) and the only way a
+row executes: every paper table, and the streaming pipeline's drift
+re-fit (:mod:`repro.pipeline.refit`, a one-node graph run with the
+store off), goes through :func:`run_graph`. Given an
 :class:`~repro.experiments.dag.ArtifactGraph`, the scheduler:
 
 - **reuses** any node whose content digest is already in the artifact
   store — a :class:`~repro.experiments.engine.RowMemo` under
-  ``<row-cache>/dag/`` keyed by node digest instead of row memo key, so
-  warm re-runs execute zero nodes and dirty re-runs execute exactly the
-  re-addressed subgraph;
+  ``<row-cache>/dag/`` keyed by node digest, so warm re-runs execute
+  zero nodes and dirty re-runs execute exactly the re-addressed
+  subgraph;
 - **executes** the rest on the engine's spawn worker pool
   (:class:`~repro.experiments.engine._Worker`), dispatching a node only
   once every dependency has resolved, so independent subgraphs of
@@ -19,9 +22,8 @@ This is the run half of the compile-then-run split
   message); sibling subgraphs run to completion, and error payloads are
   never stored.
 
-Determinism matches the engine's contract: node seeds are fixed at
-compile time (row nodes carry :func:`engine.derive_row_seed` of their
-table seed and row name — the identical seed the RowSpec shim derives),
+Determinism: node seeds are fixed at compile time (row nodes carry
+:func:`engine.derive_row_seed` of their table seed and row name),
 execution order never feeds back into any node's inputs, and worker
 trace payloads are absorbed in topological order, so a ``--jobs N`` DAG
 run is bit-identical to a cold serial run.
@@ -82,21 +84,11 @@ def take_last_dag_report() -> "DagReport | None":
 def dag_store_dir(cache_dir: "str | Path | None" = None) -> Path:
     """Artifact-store directory: ``<row-cache>/dag``.
 
-    Kept inside the row cache so ``REPRO_ROW_CACHE_DIR`` governs both
-    tiers and ``cache-prune`` sweeps them together.
+    Kept under the row-cache root, so ``REPRO_ROW_CACHE_DIR`` moves it
+    and the shared encode-cache tier next to it together.
     """
     base = Path(cache_dir) if cache_dir else engine.default_cache_dir()
     return base / "dag"
-
-
-def _node_spec(node) -> engine.RowSpec:
-    """Bridge a DAG node onto the engine's worker protocol.
-
-    ``table=""`` marks the spec as a DAG node — the engine renders its
-    span as ``node:<name>`` instead of ``row:<table>/<name>``.
-    """
-    return engine.RowSpec(table="", name=node.name, runner=node.runner,
-                          kwargs=node.kwargs)
 
 
 def run_graph(graph: ArtifactGraph, *, jobs: "int | None" = None,
@@ -189,8 +181,7 @@ def run_graph(graph: ArtifactGraph, *, jobs: "int | None" = None,
                 record_upstream(name, failed)
                 continue
             with obs.span(f"node:{name}"):
-                metrics, seconds = engine._execute_row(_node_spec(node),
-                                                       node.seed)
+                metrics, seconds = engine._execute_row(node, node.seed)
             record(name, metrics, seconds)
     elif to_run:
         _run_pool_graph(graph, to_run, statuses, jobs, timeout, cache_dir,
@@ -211,23 +202,22 @@ def run_graph(graph: ArtifactGraph, *, jobs: "int | None" = None,
 
 def _run_pool_graph(graph, to_run, statuses, jobs, timeout, cache_dir,
                     record, record_upstream, trace) -> None:
-    """Dependency-gated variant of the engine's pool loop.
+    """Fan ``to_run`` out over a spawn pool of :class:`engine._Worker` s.
 
     ``to_run`` is topologically ordered; a node is dispatched once every
     dependency is in an OK state, and nodes whose dependencies failed
     are resolved as upstream errors without occupying a worker. Timeouts
-    and crashes terminate only the affected worker (a fresh one takes
-    its slot), exactly as in :func:`engine._run_pool`.
+    and crashes terminate only the affected worker; a fresh one takes
+    its slot and the remaining nodes proceed.
     """
     ctx = multiprocessing.get_context("spawn")
-    names = list(to_run)
-    index_of = {name: i for i, name in enumerate(names)}
-    waiting = list(names)
-    remaining = len(names)
+    waiting = list(to_run)
+    remaining = len(waiting)
 
-    # Same composition as engine._run_pool: point spawned workers at the
-    # shared encode-cache disk tier so an encode node's hidden states are
-    # disk hits for every row node, whichever worker runs it.
+    # Point spawned workers (which inherit the environment at spawn
+    # time) at a shared encode-cache disk tier so an encode node's
+    # hidden states are disk hits for every row node, whichever worker
+    # runs it.
     shared_enc = None
     if _env.enc_cache_enabled() and _env.enc_cache_dir() is None:
         shared_enc = str(engine._enc_cache_dir_for(cache_dir))
@@ -274,8 +264,7 @@ def _run_pool_graph(graph, to_run, statuses, jobs, timeout, cache_dir,
                         workers[slot] = worker = engine._Worker(ctx)
                     waiting.remove(name)
                     node = graph.nodes[name]
-                    worker.assign((index_of[name], _node_spec(node),
-                                   node.seed, trace), timeout)
+                    worker.assign((name, node, node.seed, trace), timeout)
             busy = [w for w in workers if w.task is not None]
             if not busy:
                 # Nothing running and nothing ready: only reachable if a
@@ -296,7 +285,7 @@ def _run_pool_graph(graph, to_run, statuses, jobs, timeout, cache_dir,
             for slot, worker in enumerate(workers):
                 if worker.task is None:
                     continue
-                name = names[worker.task[0]]
+                name = worker.task[0]
                 if worker.conn in ready:
                     try:
                         got, metrics, seconds, payload = worker.conn.recv()
@@ -306,7 +295,7 @@ def _run_pool_graph(graph, to_run, statuses, jobs, timeout, cache_dir,
                         worker.stop(force=True)
                         workers[slot] = engine._Worker(ctx)
                         continue
-                    record(names[got], metrics, seconds, payload)
+                    record(got, metrics, seconds, payload)
                     remaining -= 1
                     worker.task = None
                     worker.deadline = None

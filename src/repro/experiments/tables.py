@@ -2,24 +2,26 @@
 
 Every function takes ``seed`` (dataset + method seeding) and ``fast``
 (True = fewer datasets / lighter methods; the default used by the bench
-suite so a full run stays CPU-friendly), plus the engine knobs ``jobs``,
-``use_cache`` and ``timeout`` (see :mod:`repro.experiments.engine`).
+suite so a full run stays CPU-friendly), plus the scheduler knobs
+``jobs``, ``use_cache`` and ``timeout`` (see
+:mod:`repro.experiments.scheduler`).
 Absolute numbers are not expected to match the paper — the *orderings*
 asserted in the benches are.
 
-Tables are expressed as :class:`~repro.experiments.engine.RowSpec` lists:
-a module-level runner function plus plain-data kwargs per row, never
-closures over live PLM/bundle objects, so rows pickle cleanly into spawn
-workers and key the memo store. Runners rebuild bundles and PLMs from
-``(profile, table_seed)``; in-process caches (``load_profile`` results
-here, pre-trained models in ``repro.plm.provider``) make that free after
-the first row a process executes.
+Tables compile into :class:`~repro.experiments.dag.DagNode` graphs
+(:func:`_table_request`): a module-level runner function plus plain-data
+kwargs per row, never closures over live PLM/bundle objects, so nodes
+pickle cleanly into spawn workers and key the artifact store. Runners
+rebuild bundles and PLMs from ``(profile, table_seed)``; in-process
+caches (``load_profile`` results here, pre-trained models in
+``repro.plm.provider``) make that free after the first row a process
+executes.
 
-Every runner receives the engine's derived per-row seed (it keys the
-memo store and is the seed for any row-local randomness a runner
+Every runner receives its node's derived per-row seed (it keys the
+artifact store and is the seed for any row-local randomness a runner
 introduces), but the experiment definitions — datasets, supervision,
 and method construction — are seeded with the *table* seed, exactly as
-the serial harness always did. Each row's inputs are pure spec data
+the serial harness always did. Each row's inputs are pure node data
 either way, so numbers are independent of execution order, and the
 regenerated tables match the pre-engine serial output bit for bit.
 """
@@ -69,12 +71,7 @@ from repro.core.supervision import require as _require
 from repro.datasets import load_profile
 from repro.evaluation.metrics import macro_f1, micro_f1
 from repro.experiments.dag import DagNode, TableRequest, scope_for
-from repro.experiments.engine import (
-    SKIP_ROW,
-    RowSpec,
-    derive_row_seed,
-    run_specs,
-)
+from repro.experiments.engine import SKIP_ROW, derive_row_seed
 from repro.experiments.scheduler import run_requests
 from repro.experiments.runner import (
     evaluate_flat,
@@ -139,19 +136,6 @@ def _make(entry: tuple, seed: int, **inject):
     return cls(seed=seed, **kwargs)
 
 
-def _specs(table: str, seed: int, fast: bool, items: list) -> list:
-    """RowSpecs for ``(name, runner, kwargs, static, dataset)`` tuples.
-
-    Compatibility shim: tables now compile through :func:`_table_request`
-    into the artifact DAG; this path remains for ad-hoc row lists.
-    """
-    return [
-        RowSpec(table=table, name=name, runner=runner, kwargs=kwargs,
-                static=static, dataset=dataset, fast=fast)
-        for name, runner, kwargs, static, dataset in items
-    ]
-
-
 # ---------------------------------------------------------------------------
 # DAG compilation (see repro.experiments.dag / .scheduler)
 # ---------------------------------------------------------------------------
@@ -206,8 +190,8 @@ def _table_request(table: str, seed: int, items: list,
     corpus and encode nodes are declared once per ``(profile, view)``
     here and dedup *across* tables when requests merge into one graph.
     Row node seeds are :func:`derive_row_seed` of the table seed and
-    the row name — the identical seed the RowSpec shim derives, which
-    is what makes DAG output bit-identical to the legacy serial path.
+    the row name, so a row's numbers depend only on its identity and
+    ``--jobs N`` output is bit-identical to serial.
     A ``runner=None`` item is a static row, emitted as-is.
     """
     nodes: "list[DagNode]" = []

@@ -29,7 +29,7 @@ tracer, counting graph-node creations as ``nn.op.<name>`` counters.
 
 Trace *content* is deterministic for a fixed seed: only the ``t0``/
 ``dur`` timing fields vary between runs (see :mod:`repro.obs.tracer`),
-and nothing recorded here feeds the row-memo keys.
+and nothing recorded here feeds the DAG artifact digests.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ def build_tree(events: list) -> _Node:
 
     The root's ``seconds`` is the trace's total wall-clock (the ``end``
     event), so every top-level span renders with its share of the run.
-    Span names may themselves contain ``/`` (e.g. ``row:<table>/<row>``);
+    Span names may themselves contain ``/`` (``node:westclass.agnews/PTE``);
     the intermediate *virtual* nodes that creates carry no events of
     their own and inherit the sum of their children.
     """

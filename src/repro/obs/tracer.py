@@ -3,14 +3,14 @@
 A :class:`Tracer` records one run as a flat list of picklable event
 dicts. Spans carry a slash-joined ``path`` (their ancestry at entry), so
 the tree reconstructs from the flat stream without nested JSON; a span
-*name* may itself contain ``/`` (``row:<table>/<row>``), which the
+*name* may itself contain ``/`` (``node:westclass.agnews/PTE``), which the
 report renders as virtual sub-levels. Counters accumulate in a plain
 dict and are emitted once at finalization. All
 timings come from ``time.monotonic()`` and live only in the ``t0``/
 ``dur`` fields — everything else in an event is deterministic for a
 fixed seed, which is what lets traces be diffed across runs.
 
-Worker processes run their own short-lived tracer per row and ship
+Worker processes run their own short-lived tracer per node and ship
 :meth:`Tracer.export` payloads back over the result pipe; the parent
 re-roots those spans under its active span with :meth:`Tracer.absorb`
 and merges the counters by summation (in row order, so parallel traces

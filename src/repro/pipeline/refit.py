@@ -1,22 +1,22 @@
-"""Drift-triggered re-fit through the experiment engine.
+"""Drift-triggered re-fit through the experiment DAG scheduler.
 
 When the drift monitor fires, the orchestrator calls :func:`run_refit`:
-the retrain is expressed as a one-row experiment —
-a :class:`~repro.experiments.engine.RowSpec` whose module-level
-:func:`refit_runner` rebuilds the training corpus from the corpus
-store, fits a fresh model, and publishes it as the next registry
-version — executed via
-:func:`~repro.experiments.engine.run_specs` (cache off: a re-fit must
-actually run). Going through the engine buys the usual guarantees for
-free: the row seed derives from ``(table_seed, row_name)`` and the row
-name carries the re-fit ordinal, so re-fit *N* of a stream trains
-identically wherever and whenever it runs — which is what makes
-crash-resume byte-identical even when the crash lands between a
-publish and the next checkpoint (the resumed run simply re-derives the
-same model).
+the retrain is a one-node :class:`~repro.experiments.dag.ArtifactGraph`
+whose module-level :func:`refit_runner` rebuilds the training corpus
+from the corpus store, fits a fresh model, and publishes it as the next
+registry version — executed by
+:func:`~repro.experiments.scheduler.run_graph` with the artifact store
+off (a re-fit must actually run). Going through the scheduler buys the
+usual guarantees for free: the node seed is
+``derive_row_seed(seed, name)`` and the node name
+``refit-<model>-<ordinal:03d>`` carries the re-fit ordinal, so re-fit
+*N* of a stream trains identically wherever and whenever it runs —
+which is what makes crash-resume byte-identical even when the crash
+lands between a publish and the next checkpoint (the resumed run simply
+re-derives the same model).
 
 The registry publish happens *inside* the runner, so by the time
-``run_specs`` returns, consumers resolving ``latest`` already see the
+``run_graph`` returns, consumers resolving ``latest`` already see the
 new version atomically; the orchestrator then reloads its own pinned
 client.
 """
@@ -26,8 +26,6 @@ from __future__ import annotations
 from repro.core.exceptions import PipelineError
 from repro.core.supervision import Keywords, LabelNames
 from repro.core.types import LabelSet
-
-REFIT_TABLE = "pipeline"
 
 
 def resolve_method(name: str):
@@ -67,7 +65,7 @@ def refit_runner(row_seed: int, *, store_dir: str, train_docs: "int | None",
                  method: str, method_kwargs: dict, supervision: str,
                  labels: list, keywords: "dict | None", registry_root: str,
                  model_name: str, provenance: dict) -> dict:
-    """One experiment row: rebuild corpus → fit → publish.
+    """One re-fit node: rebuild corpus → fit → publish.
 
     Module-level and driven entirely by JSON-safe kwargs, so it runs
     identically in-process and in a spawn worker.
@@ -97,13 +95,17 @@ def run_refit(*, store_dir, train_docs: "int | None", method: str,
     """Retrain + publish; returns the new registry version.
 
     ``ordinal`` is the re-fit count (0 = bootstrap fit), folded into the
-    row name so each re-fit derives a distinct but reproducible seed.
+    node name so each re-fit derives a distinct but reproducible seed.
     """
-    from repro.experiments.engine import RowSpec, run_specs
+    from repro.experiments.dag import ArtifactGraph, DagNode
+    from repro.experiments.engine import derive_row_seed
+    from repro.experiments.scheduler import run_graph
 
-    spec = RowSpec(
-        table=REFIT_TABLE,
-        name=f"refit-{model_name}-{ordinal:03d}",
+    name = f"refit-{model_name}-{ordinal:03d}"
+    graph = ArtifactGraph()
+    graph.add(DagNode(
+        kind="row",
+        name=name,
         runner=refit_runner,
         kwargs={
             "store_dir": str(store_dir),
@@ -121,13 +123,9 @@ def run_refit(*, store_dir, train_docs: "int | None", method: str,
                 "reason": reason or "drift",
             },
         },
-        static={"dataset": "stream", "method": method},
-        dataset="stream",
-    )
-    rows = run_specs([spec], table_seed=seed, jobs=jobs, use_cache=False)
-    row = rows[0]
-    if "error" in row:
-        raise PipelineError(
-            f"re-fit {spec.name!r} failed: {row['error']}"
-        )
-    return int(row["version"])
+        seed=derive_row_seed(seed, name),
+    ))
+    metrics = run_graph(graph, jobs=jobs, use_cache=False)[name]["metrics"]
+    if "error" in metrics:
+        raise PipelineError(f"re-fit {name!r} failed: {metrics['error']}")
+    return int(metrics["version"])

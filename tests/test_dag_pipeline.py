@@ -1,18 +1,19 @@
 """DAG pipeline: determinism, failure isolation, --select, scoped digests.
 
 The acceptance contract of the incremental pipeline: a ``--jobs N`` DAG
-run is bit-identical to a cold serial run, a crashed node poisons only
-its transitive dependents, ``--select`` recomputes exactly the named
-subgraph, a fully-warm run of two corpus-sharing tables executes zero
-nodes, and the scoped source digests re-address exactly the touched
-method's subgraph. Runners are module-level on purpose — nodes must
-pickle into spawn workers, the same constraint the engine imposes.
+run is bit-identical to a cold serial run, a crashed, hung or
+out-of-memory node poisons only its transitive dependents, ``--select``
+recomputes exactly the named subgraph, a fully-warm run of two
+corpus-sharing tables executes zero nodes, and the scoped source
+digests re-address exactly the touched method's subgraph. Runners are
+module-level on purpose — nodes must pickle into spawn workers.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -37,6 +38,15 @@ def _raising_row(seed):
 
 def _exiting_row(seed):
     os._exit(3)
+
+
+def _oom_row(seed):
+    raise MemoryError
+
+
+def _hanging_row(seed):
+    time.sleep(120.0)
+    return {}
 
 
 def _demo_request(table="t1", rows=3):
@@ -74,14 +84,31 @@ def test_parallel_run_is_bit_identical_to_serial(jobs):
     assert report.executed == 4 and report.errors == 0
 
 
-def test_node_seeds_match_the_rowspec_shim():
-    # The row node carries derive_row_seed(table_seed, node name) — the
-    # identical seed the legacy RowSpec path derives, which is what makes
-    # DAG output bit-identical to the serial harness.
+def test_row_node_seeds_derive_from_table_seed_and_name():
+    # A row node carries derive_row_seed(table_seed, node name), so its
+    # numbers depend only on its identity, never on where it runs.
     request = _demo_request()
     for node in request.nodes:
         if node.kind == "row":
             assert node.seed == engine.derive_row_seed(0, node.name)
+
+
+def test_row_seeds_are_stable_and_sharded():
+    # Pinned: derived seeds feed node digests and every row's numbers.
+    assert engine.derive_row_seed(0, "row0") == 1548062754
+    assert engine.derive_row_seed(1, "row0") == 2085109840
+    assert engine.derive_row_seed(0, "row1") == 2127226448
+
+
+def test_static_rows_pass_through():
+    request = TableRequest(
+        table="t",
+        nodes=[DagNode(kind="row", name="t.static", table="t", row="static",
+                       static={"Method": "TextGCN", "Micro-F1": "-"})],
+        row_names=["t.static"])
+    rows = run_requests([request], jobs=1, use_cache=False)["t"]
+    assert rows == [{"Method": "TextGCN", "Micro-F1": "-", "seconds": 0.0}]
+    assert scheduler.take_last_dag_report().statuses == {"t.static": "static"}
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +148,33 @@ def test_worker_crash_isolates_like_an_error():
     assert "score" in results["bystander"]["metrics"]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_memory_error_renders_as_dash(jobs):
+    graph = ArtifactGraph()
+    graph.add(DagNode(kind="row", name="oom", runner=_oom_row))
+    graph.add(DagNode(kind="row", name="bystander", runner=_metric_row))
+    results = run_graph(graph, jobs=jobs, use_cache=False)
+    assert results["oom"]["metrics"] == {"error": "-"}  # the papers' "-"
+    assert "score" in results["bystander"]["metrics"]
+    assert scheduler.take_last_dag_report().statuses["oom"] == "error"
+
+
+def test_hung_node_times_out_without_killing_the_graph():
+    graph = ArtifactGraph()
+    graph.add(DagNode(kind="corpus", name="hang", runner=_hanging_row))
+    graph.add(DagNode(kind="row", name="victim", runner=_metric_row,
+                      deps=("hang",)))
+    graph.add(DagNode(kind="row", name="bystander", runner=_metric_row))
+    # The per-node deadline starts at dispatch, so it also covers worker
+    # startup — keep it comfortably above spawn+import cost.
+    results = run_graph(graph, jobs=2, use_cache=False, timeout=15.0)
+    statuses = scheduler.take_last_dag_report().statuses
+    assert results["hang"]["metrics"]["error"] == "timeout after 15s"
+    assert statuses["hang"] == "error"
+    assert statuses["victim"] == "upstream-error"
+    assert "score" in results["bystander"]["metrics"]
+
+
 def test_error_artifacts_are_never_stored(tmp_path):
     graph = ArtifactGraph()
     graph.add(DagNode(kind="corpus", name="bad_root", runner=_raising_row))
@@ -146,8 +200,20 @@ def test_warm_shared_tables_execute_zero_nodes(tmp_path):
                         jobs=4, use_cache=True, cache_dir=tmp_path)
     report = scheduler.take_last_dag_report()
     assert report.executed == 0 and report.reused == 7
-    assert _strip(warm["t1"]) == _strip(cold["t1"])
-    assert _strip(warm["t2"]) == _strip(cold["t2"])
+    assert warm == cold  # seconds included: payloads replay verbatim
+
+
+def test_memory_tier_is_scoped_to_the_store_directory(tmp_path):
+    graph = ArtifactGraph()
+    graph.add(DagNode(kind="row", name="only", runner=_metric_row))
+    run_graph(graph, jobs=1, use_cache=True, cache_dir=tmp_path / "a")
+    assert scheduler.take_last_dag_report().statuses == {"only": "executed"}
+
+    # Same digest, different (empty) store: the memory tier must not
+    # answer for a directory that never held the artifact.
+    run_graph(graph, jobs=1, use_cache=True, cache_dir=tmp_path / "b")
+    assert scheduler.take_last_dag_report().statuses == {"only": "executed"}
+    assert list(scheduler.dag_store_dir(tmp_path / "b").glob("*.json"))
 
 
 def test_select_recomputes_exactly_the_named_subgraph(tmp_path):
@@ -382,15 +448,66 @@ def test_cache_prune_cli_reports_both_stores(tmp_path, monkeypatch, capsys):
     from repro.experiments import cli
 
     monkeypatch.setenv("REPRO_ROW_CACHE_DIR", str(tmp_path))
-    engine.RowMemo(tmp_path).put("live", {"metrics": {}, "seconds": 0.0})
+    # Row-memo files at the row-cache root are unreadable by any code,
+    # whatever tree they were stamped with: all of them are swept.
+    (tmp_path / "current.json").write_text(json.dumps(
+        {"metrics": {}, "seconds": 0.0, "tree": engine.source_version()}))
     (tmp_path / "stale.json").write_text(json.dumps(
         {"metrics": {}, "seconds": 0.0, "tree": "dead-digest"}))
     dag_dir = scheduler.dag_store_dir(tmp_path)
-    dag_dir.mkdir(parents=True)
+    engine.RowMemo(dag_dir).put("live", {"metrics": {}, "seconds": 0.0})
     (dag_dir / "orphan.json").write_text(json.dumps(
         {"metrics": {}, "seconds": 0.0, "tree": "dead-digest"}))
 
     assert cli.main(["cache-prune"]) == 0
     out = capsys.readouterr().out
-    assert "rows: kept 1, removed 1" in out
-    assert "dag:  kept 0, removed 1" in out
+    assert f"rows: removed 2 legacy row-memo entries ({tmp_path})" in out
+    assert "dag:  kept 1, removed 1" in out
+    assert not list(tmp_path.glob("*.json"))
+    assert (dag_dir / "live.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# Drift re-fit: a one-node graph
+# ---------------------------------------------------------------------------
+
+def _refit_kwargs(tmp_path, **overrides):
+    kwargs = dict(store_dir=tmp_path / "store", train_docs=None,
+                  method="westclass", method_kwargs={},
+                  supervision="label-names", labels=["a", "b"],
+                  keywords=None, registry_root=tmp_path / "models",
+                  model_name="live", ordinal=2, seed=7)
+    kwargs.update(overrides)
+    return kwargs
+
+
+def test_refit_is_one_pinned_node(tmp_path, monkeypatch):
+    from repro.pipeline import refit
+
+    seen = {}
+
+    def fake_run_graph(graph, **kwargs):
+        seen["graph"], seen["kwargs"] = graph, kwargs
+        return {"refit-live-002": {"metrics": {"version": 5},
+                                   "seconds": 0.0}}
+
+    monkeypatch.setattr(scheduler, "run_graph", fake_run_graph)
+    assert refit.run_refit(**_refit_kwargs(tmp_path), jobs=2) == 5
+    graph = seen["graph"]
+    assert list(graph.nodes) == ["refit-live-002"]
+    node = graph.nodes["refit-live-002"]
+    assert node.runner is refit.refit_runner and node.deps == ()
+    # Pinned: re-fit N of a stream trains with this seed wherever it
+    # runs, which is what keeps crash-resume byte-identical.
+    assert node.seed == engine.derive_row_seed(7, "refit-live-002")
+    assert node.seed == 695190176
+    assert seen["kwargs"] == {"jobs": 2, "use_cache": False}
+
+
+def test_failed_refit_node_raises_pipeline_error(tmp_path):
+    from repro.core.exceptions import PipelineError
+    from repro.pipeline import refit
+
+    with pytest.raises(PipelineError,
+                       match="re-fit 'refit-live-002' failed: .*empty"):
+        refit.run_refit(**_refit_kwargs(tmp_path))

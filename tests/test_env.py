@@ -72,9 +72,10 @@ def test_engine_and_nn_defaults(monkeypatch):
     assert env.enc_cache_enabled() is True
 
 
-def test_run_specs_surfaces_bad_jobs(monkeypatch):
-    from repro.experiments.engine import run_specs
+def test_run_graph_surfaces_bad_jobs(monkeypatch):
+    from repro.experiments.dag import ArtifactGraph
+    from repro.experiments.scheduler import run_graph
 
     monkeypatch.setenv("REPRO_JOBS", "lots")
     with pytest.raises(ConfigurationError, match="REPRO_JOBS"):
-        run_specs([], jobs=None)
+        run_graph(ArtifactGraph(), jobs=None)

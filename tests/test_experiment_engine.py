@@ -1,54 +1,58 @@
-"""Experiment engine: fan-out equality, failure isolation, memoization.
+"""Experiment engine under the DAG scheduler: fan-out, reuse, re-keying.
 
-The runners here are module-level on purpose — specs must pickle into
-spawn workers, which is exactly the constraint the engine imposes on
-``tables.py``.
+Flat graphs of independent row nodes, the shape every results table
+has, run through :func:`~repro.experiments.scheduler.run_graph`: the
+worker pool must match the in-process path, the artifact store must
+replay finished rows without calling their runners, a new table seed or
+dataset must re-address a row, and failed rows are never stored.
+Runners are module-level on purpose — nodes must pickle into spawn
+workers.
 """
 
-import time
+from __future__ import annotations
 
 import pytest
 
-from repro.experiments.engine import (
-    RowSpec,
-    clear_memo_memory,
-    derive_row_seed,
-    memo_key,
-    run_specs,
-    take_last_report,
-)
+from repro.experiments import engine, scheduler
+from repro.experiments.dag import ArtifactGraph, DagNode
+from repro.experiments.scheduler import run_graph
 
 pytestmark = pytest.mark.harness
 
 
-def _metric_row(row_seed, base, log_path=None):
+def _dataset(seed, name):
+    return {"dataset": name}
+
+
+def _metric_row(seed, base, log_path=None):
     if log_path is not None:
         with open(log_path, "a") as fh:
             fh.write("call\n")
-    return {"score": (row_seed * 31 + base) % 997 / 997.0}
+    return {"score": (seed * 31 + base) % 997 / 997.0}
 
 
-def _raising_row(row_seed):
+def _raising_row(seed, log_path):
+    with open(log_path, "a") as fh:
+        fh.write("call\n")
     raise ValueError("poisoned")
 
 
-def _oom_row(row_seed):
-    raise MemoryError
-
-
-def _hanging_row(row_seed):
-    time.sleep(120.0)
-    return {}
-
-
-def _specs(n, table="t", dataset="d0", log_path=None):
-    kwargs = {"log_path": str(log_path)} if log_path is not None else {}
-    return [
-        RowSpec(table=table, name=f"row{i}", runner=_metric_row,
-                kwargs={"base": i, **kwargs}, static={"Method": f"m{i}"},
-                dataset=dataset)
-        for i in range(n)
-    ]
+def _graph(n, table_seed=0, dataset=None, log_path=None):
+    """``n`` row nodes seeded like a table; optionally on one dataset node."""
+    graph = ArtifactGraph()
+    deps = ()
+    if dataset is not None:
+        graph.add(DagNode(kind="corpus", name="dataset", runner=_dataset,
+                          kwargs={"name": dataset}))
+        deps = ("dataset",)
+    extra = {"log_path": str(log_path)} if log_path is not None else {}
+    for i in range(n):
+        name = f"t.row{i}"
+        graph.add(DagNode(kind="row", name=name, runner=_metric_row,
+                          kwargs={"base": i, **extra}, deps=deps,
+                          table="t", row=f"row{i}",
+                          seed=engine.derive_row_seed(table_seed, name)))
+    return graph
 
 
 def _calls(log_path):
@@ -58,101 +62,64 @@ def _calls(log_path):
         return 0
 
 
-def _strip_seconds(rows):
-    return [{k: v for k, v in row.items() if k != "seconds"} for row in rows]
+def _metrics(results):
+    return {name: result["metrics"] for name, result in results.items()}
 
 
-def test_row_seeds_are_stable_and_sharded():
-    # Pinned: derived seeds are part of the memo-key contract.
-    assert derive_row_seed(0, "row0") == 1548062754
-    assert derive_row_seed(1, "row0") == 2085109840
-    assert derive_row_seed(0, "row1") == 2127226448
-
-
-def test_parallel_rows_equal_serial_rows(tmp_path):
-    specs = _specs(6)
-    serial = run_specs(specs, table_seed=3, jobs=1, use_cache=False)
-    parallel = run_specs(specs, table_seed=3, jobs=4, use_cache=False)
-    assert _strip_seconds(parallel) == _strip_seconds(serial)
-    assert all("seconds" in row for row in serial)
-    report = take_last_report()
-    assert report.jobs == 4 and report.rows == 6 and report.errors == 0
-
-
-def test_poisoned_rows_do_not_kill_the_table(tmp_path):
-    specs = _specs(4)
-    specs[1] = RowSpec(table="t", name="boom", runner=_raising_row)
-    specs[2] = RowSpec(table="t", name="oom", runner=_oom_row)
-    rows = run_specs(specs, table_seed=0, jobs=2, use_cache=False)
-    assert rows[1]["error"] == "ValueError: poisoned"
-    assert rows[2]["error"] == "-"  # MemoryError -> the papers' literal "-"
-    assert "score" in rows[0] and "score" in rows[3]
-    assert take_last_report().errors == 2
-
-
-def test_hung_row_times_out_without_killing_the_table():
-    specs = _specs(3)
-    specs[1] = RowSpec(table="t", name="hang", runner=_hanging_row)
-    # The per-row deadline starts at dispatch, so it also covers worker
-    # startup — keep it comfortably above spawn+import cost.
-    rows = run_specs(specs, table_seed=0, jobs=2, use_cache=False,
-                     timeout=15.0)
-    assert "timeout" in rows[1]["error"]
-    assert "score" in rows[0] and "score" in rows[2]
-    report = take_last_report()
-    assert report.timeouts == 1 and report.errors == 1
+def test_parallel_rows_equal_serial_rows():
+    serial = run_graph(_graph(6, table_seed=3), jobs=1, use_cache=False)
+    parallel = run_graph(_graph(6, table_seed=3), jobs=4, use_cache=False)
+    assert _metrics(parallel) == _metrics(serial)
+    assert all("seconds" in result for result in serial.values())
+    report = scheduler.take_last_dag_report()
+    assert report.jobs == 4 and report.executed == 6 and report.errors == 0
 
 
 def test_warm_memo_store_runs_zero_factories(tmp_path):
     log = tmp_path / "calls.log"
-    store = tmp_path / "rows"
-    specs = _specs(4, log_path=log)
-    cold = run_specs(specs, table_seed=0, jobs=1, cache_dir=store)
+    cold = run_graph(_graph(4, log_path=log), jobs=1, cache_dir=tmp_path)
     assert _calls(log) == 4
-    assert take_last_report().misses == 4
+    assert scheduler.take_last_dag_report().executed == 4
 
-    warm = run_specs(specs, table_seed=0, jobs=1, cache_dir=store)
-    assert _calls(log) == 4  # zero new factory calls
-    assert take_last_report().hits == 4
+    warm = run_graph(_graph(4, log_path=log), jobs=1, cache_dir=tmp_path)
+    assert _calls(log) == 4  # zero new runner calls
+    report = scheduler.take_last_dag_report()
+    assert report.reused == 4 and report.executed == 0
     assert warm == cold  # seconds included: payloads are replayed verbatim
 
-    clear_memo_memory()  # drop the memory tier: disk alone must hit too
-    disk = run_specs(specs, table_seed=0, jobs=1, cache_dir=store)
+    engine.clear_memo_memory()  # drop the memory tier: disk alone must hit
+    disk = run_graph(_graph(4, log_path=log), jobs=1, cache_dir=tmp_path)
     assert _calls(log) == 4
-    assert take_last_report().hits == 4
+    assert scheduler.take_last_dag_report().reused == 4
     assert disk == cold
 
 
 def test_seed_and_dataset_changes_bust_the_memo_key(tmp_path):
     log = tmp_path / "calls.log"
-    store = tmp_path / "rows"
-    specs = _specs(2, log_path=log)
-    run_specs(specs, table_seed=0, jobs=1, cache_dir=store)
+    base = _graph(2, dataset="d0", log_path=log)
+    run_graph(base, jobs=1, cache_dir=tmp_path)
     assert _calls(log) == 2
 
-    run_specs(specs, table_seed=1, jobs=1, cache_dir=store)
+    reseeded = _graph(2, table_seed=1, dataset="d0", log_path=log)
+    run_graph(reseeded, jobs=1, cache_dir=tmp_path)
     assert _calls(log) == 4  # new table seed -> recomputed
 
-    refingerprinted = _specs(2, dataset="d1", log_path=log)
-    run_specs(refingerprinted, table_seed=0, jobs=1, cache_dir=store)
-    assert _calls(log) == 6  # new dataset fingerprint -> recomputed
+    moved = _graph(2, dataset="d1", log_path=log)
+    run_graph(moved, jobs=1, cache_dir=tmp_path)
+    assert _calls(log) == 6  # new dataset -> recomputed
 
-    spec = specs[0]
-    seed = derive_row_seed(0, spec.name)
-    assert memo_key(spec, seed) != memo_key(spec, derive_row_seed(1, spec.name))
-    assert memo_key(spec, seed) != memo_key(refingerprinted[0], seed)
+    digest = base.digests()["t.row0"]
+    assert reseeded.digests()["t.row0"] != digest
+    assert moved.digests()["t.row0"] != digest
 
 
 def test_errors_are_never_memoized(tmp_path):
-    store = tmp_path / "rows"
-    specs = [RowSpec(table="t", name="boom", runner=_raising_row)]
-    run_specs(specs, table_seed=0, jobs=1, cache_dir=store)
-    run_specs(specs, table_seed=0, jobs=1, cache_dir=store)
-    assert take_last_report().misses == 1  # re-attempted, not replayed
-
-
-def test_static_rows_pass_through():
-    specs = [RowSpec(table="t", name="static", runner=None,
-                     static={"Method": "TextGCN", "Micro-F1": "-"})]
-    rows = run_specs(specs, table_seed=0, jobs=1, use_cache=False)
-    assert rows == [{"Method": "TextGCN", "Micro-F1": "-", "seconds": 0.0}]
+    log = tmp_path / "calls.log"
+    graph = ArtifactGraph()
+    graph.add(DagNode(kind="row", name="t.boom", runner=_raising_row,
+                      kwargs={"log_path": str(log)}))
+    run_graph(graph, jobs=1, cache_dir=tmp_path)
+    run_graph(graph, jobs=1, cache_dir=tmp_path)
+    assert _calls(log) == 2  # re-attempted, not replayed
+    report = scheduler.take_last_dag_report()
+    assert report.statuses == {"t.boom": "error"} and report.reused == 0

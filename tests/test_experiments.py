@@ -9,7 +9,7 @@ from repro.experiments.figures import (
     pca_2d,
     render_pca_ascii,
 )
-from repro.experiments.runner import evaluate_flat, run_rows
+from repro.experiments.runner import evaluate_flat
 from repro.experiments.views import coarse_view, dag_as_tree
 from repro.taxonomy.tree import ROOT
 
@@ -73,19 +73,6 @@ def test_render_pca_ascii(rng):
     coords = rng.normal(size=(10, 2))
     art = render_pca_ascii(coords, ["x"] * 5 + ["y"] * 5, width=20, height=8)
     assert "A=x" in art and "B=y" in art
-
-
-def test_run_rows_reports_errors_as_dash(agnews_small):
-    class Boom:
-        def fit(self, *a):
-            raise MemoryError
-
-    def evaluate(clf, sup):
-        clf.fit(None, None)
-        return {}
-
-    rows = run_rows([("boom", Boom, None)], evaluate)
-    assert rows[0]["error"] == "-"
 
 
 def test_evaluate_flat_metrics(agnews_small):

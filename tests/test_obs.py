@@ -1,6 +1,6 @@
 """Observability layer: spans, counters, worker merge, report, CLI.
 
-The row runners are module-level so they pickle into spawn workers —
+The node runners are module-level so they pickle into spawn workers —
 the worker-side tracer records their spans/counters and the parent
 merges the exported payloads (the cross-process half of the tracer
 contract).
@@ -12,7 +12,9 @@ import pytest
 
 from repro import obs
 from repro.experiments import cli
-from repro.experiments.engine import RowSpec, run_specs
+from repro.experiments.dag import ArtifactGraph, DagNode
+from repro.experiments.engine import derive_row_seed
+from repro.experiments.scheduler import run_graph
 from repro.obs import report
 from repro.obs.tracer import NULL_SPAN, Tracer
 
@@ -34,9 +36,13 @@ def _counting_row(row_seed, weight=1):
     return {"score": row_seed % 10}
 
 
-def _specs(n):
-    return [RowSpec(table="t", name=f"row{i}", runner=_counting_row,
-                    kwargs={"weight": i + 1}) for i in range(n)]
+def _graph(n, table_seed=0):
+    graph = ArtifactGraph()
+    for i in range(n):
+        graph.add(DagNode(kind="row", name=f"row{i}", runner=_counting_row,
+                          kwargs={"weight": i + 1},
+                          seed=derive_row_seed(table_seed, f"row{i}")))
+    return graph
 
 
 def _span_events(tracer):
@@ -202,19 +208,19 @@ def test_report_tree_rolls_up_slashed_span_names():
 
 def test_counters_and_spans_merge_across_spawn_workers():
     obs.enable("pool")
-    rows = run_specs(_specs(4), table_seed=0, jobs=2, use_cache=False)
+    results = run_graph(_graph(4), jobs=2, use_cache=False)
     tracer = obs.disable()
-    assert len(rows) == 4
+    assert len(results) == 4
     # Counters merged by summation: weights 1+2+3+4.
     assert tracer.counters["test.work"] == 10
-    assert tracer.counters["rows.executed"] == 4
+    assert tracer.counters["dag.nodes_executed"] == 4
     remote = [e for e in _span_events(tracer) if e.get("remote")]
-    row_spans = [e for e in remote if e["name"].startswith("row:t/")]
-    assert len(row_spans) == 4
-    # Worker-side nesting survives the pipe: compute sits under its row.
+    node_spans = [e for e in remote if e["name"].startswith("node:row")]
+    assert len(node_spans) == 4
+    # Worker-side nesting survives the pipe: compute sits under its node.
     compute = [e for e in remote if e["name"] == "compute"]
     assert {e["path"] for e in compute} == {
-        f"row:t/row{i}/compute" for i in range(4)
+        f"node:row{i}/compute" for i in range(4)
     }
 
 
@@ -222,32 +228,29 @@ def test_parallel_trace_content_is_deterministic():
     runs = []
     for _ in range(2):
         obs.enable("det")
-        run_specs(_specs(5), table_seed=1, jobs=2, use_cache=False)
+        run_graph(_graph(5, table_seed=1), jobs=2, use_cache=False)
         runs.append(_stable_events(obs.disable()))
     assert runs[0] == runs[1]
 
 
 def test_serial_rows_record_local_spans():
     obs.enable("serial")
-    run_specs(_specs(2), table_seed=0, jobs=1, use_cache=False)
+    run_graph(_graph(2), jobs=1, use_cache=False)
     tracer = obs.disable()
     spans = _span_events(tracer)
-    assert [e["name"] for e in spans if e["name"].startswith("row:")] == [
-        "row:t/row0", "row:t/row1",
+    assert [e["name"] for e in spans if e["name"].startswith("node:")] == [
+        "node:row0", "node:row1",
     ]
     assert not any(e.get("remote") for e in spans)
 
 
 def test_memo_hits_count_without_rerunning(tmp_path):
-    specs = _specs(3)
-    run_specs(specs, table_seed=0, jobs=1, use_cache=True,
-              cache_dir=tmp_path)
+    run_graph(_graph(3), jobs=1, use_cache=True, cache_dir=tmp_path)
     obs.enable("memo")
-    run_specs(specs, table_seed=0, jobs=1, use_cache=True,
-              cache_dir=tmp_path)
+    run_graph(_graph(3), jobs=1, use_cache=True, cache_dir=tmp_path)
     tracer = obs.disable()
-    assert tracer.counters["row_memo.hits"] == 3
-    assert tracer.counters.get("rows.executed", 0) == 0
+    assert tracer.counters["dag.nodes_reused"] == 3
+    assert tracer.counters.get("dag.nodes_executed", 0) == 0
 
 
 # ---------------------------------------------------------------------------
