@@ -132,10 +132,7 @@ def test_plm_inference_engine_throughput():
     docs = _mixed_corpus(base, N_DOCS)
     total_tokens = sum(len(d) for d in docs)
 
-    seed_plm = PretrainedLM(
-        base.encoder,
-        engine_config=EngineConfig(bucket=False, inference=False, cache=False),
-    )
+    seed_plm = PretrainedLM(base.encoder, enc_cache=None)
     engine_plm = PretrainedLM(base.encoder, enc_cache=EncodeCache(),
                               engine_config=EngineConfig())
 

@@ -19,8 +19,8 @@ Asserts batched throughput >= 2x unbatched and writes
 counts) next to this file.
 
 A second bench serves the same fitted model from a float32 artifact and
-an int8 quantized artifact (which auto-enables the packed fused-infer
-path) over identical near-``max_len`` single-document request streams.
+an int8 quantized artifact (which loads with the packed predict-only
+forward) over identical near-``max_len`` single-document request streams.
 Arms are interleaved across rounds and compared on per-arm minima, so
 scheduler noise hits both sides equally; the speedup floor is
 host-calibrated via :mod:`hostcal` and capped at
@@ -260,11 +260,10 @@ def test_quantized_serving_speedup(tmp_path):
     arms = {}
     for key, path in (("float32", f32_path), ("int8", int8_path)):
         loaded = load_artifact(path)
-        # Cache-less facade (as above), but keep the artifact's engine
-        # config: the int8 manifest is what enables fused_infer.
+        # Cache-less facade (as above). The int8 load attached the packed
+        # forward to the encoder, so it carries over to the new facade.
         loaded.model.plm = PretrainedLM(loaded.model.plm.encoder,
-                                        enc_cache=None,
-                                        engine_config=loaded.model.plm.engine)
+                                        enc_cache=None)
         loaded.warmup()
         arms[key] = loaded
 

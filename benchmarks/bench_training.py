@@ -15,7 +15,9 @@ records ``BENCH_training.json``.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -23,14 +25,18 @@ from conftest import write_bench_artifact
 from repro.classifiers import AttentiveClassifier
 from repro.classifiers.base import as_soft_targets
 from repro.datasets.pretraining import general_corpus
-from repro.nn.functional import set_fused
-from repro.nn.losses import cross_entropy, soft_cross_entropy
 from repro.nn.optim import Adam
 from repro.nn.tensor import default_dtype
 from repro.plm.config import PLMConfig
 from repro.plm.encoder import TransformerEncoder, pad_batch
 from repro.plm.pretrainer import IGNORE, _mask_tokens, pretrain_mlm
 from repro.text.vocabulary import Vocabulary
+
+# The composite kernels live with the test suite, as its oracle.
+REPO = Path(__file__).resolve().parent.parent
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
+from tests import composite_kernels  # noqa: E402
 
 MIN_PRETRAIN_SPEEDUP = 1.8
 MIN_FIT_SPEEDUP = 1.5
@@ -99,7 +105,7 @@ def _seed_pretrain_mlm(encoder, token_lists, config, seed):
         rows, cols = np.nonzero(targets != IGNORE)
         picked = hidden[rows, cols]
         logits = encoder.mlm_logits(picked)
-        loss = cross_entropy(logits, targets[rows, cols])
+        loss = composite_kernels.cross_entropy(logits, targets[rows, cols])
         optimizer.zero_grad()
         loss.backward()
         optimizer.clip_grad_norm(5.0)
@@ -120,7 +126,7 @@ def _seed_fit(model, token_lists, targets, epochs, batch_size=32, lr=2e-3):
             ids, pad_mask = pad_batch([sequences[i] for i in take],
                                       model.vocabulary.pad_id, model.max_len)
             logits = model._forward(ids, pad_mask)
-            loss = soft_cross_entropy(logits, soft[take])
+            loss = composite_kernels.soft_cross_entropy(logits, soft[take])
             optimizer.zero_grad()
             loss.backward()
             optimizer.clip_grad_norm(5.0)
@@ -156,8 +162,7 @@ def test_training_engine_speedups():
     seconds = {"pretrain": {}, "fit": {}}
 
     # Seed configuration: float64, composite kernels, allocating updates.
-    previous = set_fused(False)
-    try:
+    with composite_kernels.swapped_in():
         with default_dtype("float64"):
             vocab = Vocabulary.build(corpus)
             encoder = TransformerEncoder(vocab, config,
@@ -174,8 +179,6 @@ def test_training_engine_speedups():
             seconds["fit"]["seed"] = _timed(
                 lambda: _seed_fit(model, docs, targets, epochs=10)
             )
-    finally:
-        set_fused(previous)
 
     # Engine configuration: float32, fused kernels, in-place optimizers,
     # BatchPlan batch prep — the library defaults after this PR.

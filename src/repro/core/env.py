@@ -13,28 +13,22 @@ time and :mod:`repro.obs`) can depend on it without cycles.
 
 Knob inventory
 --------------
-==========================  =============================================
-``REPRO_JOBS``              default worker count for DAG node fan-out
-``REPRO_ROW_CACHE``         ``0`` disables the DAG artifact store
-``REPRO_ROW_CACHE_DIR``     row-cache root (DAG store under ``dag/``)
-``REPRO_ROW_TIMEOUT``       default per-node timeout (seconds)
-``REPRO_ENC_CACHE``         ``0`` disables the encode cache
-``REPRO_ENC_CACHE_BYTES``   encode-cache memory-tier budget
-``REPRO_ENC_CACHE_DIR``     encode-cache disk tier location
+==============================  ================================================
+``REPRO_JOBS``                  default worker count for DAG node fan-out
+``REPRO_ROW_CACHE``             ``0`` disables the DAG artifact store
+``REPRO_ROW_CACHE_DIR``         row-cache root (DAG store under ``dag/``)
+``REPRO_ROW_TIMEOUT``           default per-node timeout (seconds)
+``REPRO_ENC_CACHE``             ``0`` disables the encode cache
+``REPRO_ENC_CACHE_BYTES``       encode-cache memory-tier budget (``>= 0``)
+``REPRO_ENC_CACHE_DIR``         encode-cache disk tier location
 ``REPRO_ENC_CACHE_SHARD_DOCS``  docs per mmap disk shard (``0`` = off)
-``REPRO_ENGINE_BUCKET``     ``0`` disables length bucketing
-``REPRO_ENGINE_INFERENCE_MODE``  ``0`` keeps autograd on read paths
-``REPRO_ENGINE_CACHE``      ``0`` skips the cache on model read paths
-``REPRO_ENGINE_TOKEN_BUDGET``  padded tokens per inference batch
-``REPRO_ENGINE_FUSED_INFER``  ``1`` forces the packed predict-only forward
-``REPRO_ENGINE_BLOCK_ROWS``  query-block height for blocked attention
-``REPRO_MODEL_DIR``         model-registry root (``repro.serve``)
-``REPRO_CORPUS_DIR``        streaming corpus-store root (``repro.pipeline``)
-``REPRO_NN_DTYPE``          default compute dtype (float32/float64)
-``REPRO_NN_FUSED``          ``0`` selects composite autograd kernels
-``REPRO_NN_PROFILE``        ``1`` enables the per-op profile hook
-``REPRO_TRACE``             directory for JSONL traces (enables tracing)
-==========================  =============================================
+``REPRO_ENGINE_TOKEN_BUDGET``   padded tokens per inference batch (``>= 0``)
+``REPRO_MODEL_DIR``             model-registry root (``repro.serve``)
+``REPRO_CORPUS_DIR``            streaming corpus-store root (``repro.pipeline``)
+``REPRO_NN_DTYPE``              default compute dtype (float32/float64)
+``REPRO_NN_PROFILE``            ``1`` enables the per-op profile hook
+``REPRO_TRACE``                 directory for JSONL traces (enables tracing)
+==============================  ================================================
 """
 
 from __future__ import annotations
@@ -46,6 +40,7 @@ from repro.core.exceptions import ConfigurationError
 
 _FALSY = ("0", "off", "false", "no")
 _TRUTHY = ("1", "on", "true", "yes")
+_NN_DTYPES = ("float32", "float64")
 
 
 def env_raw(name: str) -> "str | None":
@@ -99,6 +94,13 @@ def env_float(name: str, default: "float | None") -> "float | None":
         ) from None
 
 
+def _non_negative(name: str, value: "int | None") -> "int | None":
+    """``value`` unchanged, or a :class:`ConfigurationError` if negative."""
+    if value is not None and value < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def env_path(name: str, default: "Path | None" = None) -> "Path | None":
     """Path knob (unset/empty -> ``default``)."""
     raw = env_raw(name)
@@ -140,8 +142,9 @@ def enc_cache_enabled() -> bool:
 
 
 def enc_cache_bytes(default: int) -> int:
-    """Encode-cache memory budget (``REPRO_ENC_CACHE_BYTES``)."""
-    return env_int("REPRO_ENC_CACHE_BYTES", default)
+    """Encode-cache memory budget (``REPRO_ENC_CACHE_BYTES``, ``>= 0``)."""
+    return _non_negative("REPRO_ENC_CACHE_BYTES",
+                         env_int("REPRO_ENC_CACHE_BYTES", default))
 
 
 def enc_cache_dir() -> "Path | None":
@@ -155,22 +158,12 @@ def enc_cache_shard_docs() -> int:
 
 
 def engine_token_budget() -> "int | None":
-    """Padded tokens per inference batch (``REPRO_ENGINE_TOKEN_BUDGET``)."""
-    budget = env_int("REPRO_ENGINE_TOKEN_BUDGET", None)
-    return budget or None
+    """Padded tokens per inference batch (``REPRO_ENGINE_TOKEN_BUDGET``).
 
-
-def engine_fused_infer() -> "bool | None":
-    """Packed predict-only forward (``REPRO_ENGINE_FUSED_INFER``).
-
-    Returns ``None`` when the knob is unset so callers can distinguish
-    "defaulted" from "explicitly forced" — quantized artifacts enable the
-    packed path by default but an explicit ``0`` must win.
+    ``0`` (like unset) means the engine default, ``batch_size * max_len``.
     """
-    raw = env_raw("REPRO_ENGINE_FUSED_INFER")
-    if raw is None:
-        return None
-    return env_flag("REPRO_ENGINE_FUSED_INFER", False)
+    budget = env_int("REPRO_ENGINE_TOKEN_BUDGET", None)
+    return _non_negative("REPRO_ENGINE_TOKEN_BUDGET", budget) or None
 
 
 def model_dir() -> Path:
@@ -195,13 +188,13 @@ def corpus_dir() -> Path:
 
 
 def nn_dtype() -> str:
-    """Default compute dtype name (``REPRO_NN_DTYPE``)."""
-    return env_raw("REPRO_NN_DTYPE") or "float32"
-
-
-def nn_fused() -> bool:
-    """Whether fused training kernels are active (``REPRO_NN_FUSED``)."""
-    return env_flag("REPRO_NN_FUSED", True)
+    """Default compute dtype name (``REPRO_NN_DTYPE``: float32 or float64)."""
+    value = env_raw("REPRO_NN_DTYPE") or "float32"
+    if value not in _NN_DTYPES:
+        raise ConfigurationError(
+            f"REPRO_NN_DTYPE must be one of {_NN_DTYPES}, got {value!r}"
+        )
+    return value
 
 
 def nn_profile() -> bool:

@@ -23,7 +23,6 @@ from repro.nn.losses import (
     cross_entropy,
     kl_divergence_with_logits,
 )
-from repro.nn.functional import fused_enabled, set_fused
 from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import (
     Tensor,
@@ -43,8 +42,6 @@ __all__ = [
     "get_default_dtype",
     "set_default_dtype",
     "default_dtype",
-    "fused_enabled",
-    "set_fused",
     "functional",
     "Module",
     "Linear",

@@ -1,47 +1,25 @@
-"""Composite tensor functions and fused training kernels.
+"""Fused training kernels and plain-numpy tensor helpers.
 
 The hot training-path functions (softmax, log-softmax, masked attention
 softmax, layer norm, and — in :mod:`repro.nn.losses` — softmax
-cross-entropy) each exist in two forms:
-
-- a **fused kernel**: one graph node whose forward and backward are
-  single hand-written numpy passes (no intermediate graph nodes, no
-  per-op closure allocations), and
-- a **composite reference**: the same function built from primitive
-  autograd ops, kept as the correctness oracle for the gradcheck suite
-  and as the baseline the training bench measures against.
-
-Fused execution is the default; ``set_fused(False)`` or
-``REPRO_NN_FUSED=0`` selects the composite path. Both paths are
-dtype-preserving (see :mod:`repro.nn.tensor`).
+cross-entropy) are **fused kernels**: one graph node whose forward and
+backward are single hand-written numpy passes (no intermediate graph
+nodes, no per-op closure allocations). The same functions built from
+primitive autograd ops live in ``tests/composite_kernels.py`` as the
+correctness oracle for the gradcheck suite and the baseline the training
+bench measures against. Every kernel is dtype-preserving (see
+:mod:`repro.nn.tensor`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
-from repro.core import env as _env
 from repro.nn.tensor import Tensor, _unbroadcast, get_default_dtype, is_grad_enabled
-
-_FUSED = _env.nn_fused()
 
 #: Finite stand-in for -inf in masked softmax: large enough that exp()
 #: underflows to exactly 0, small enough to be float32-representable.
 _MASK_FILL = -1e9
-
-
-def fused_enabled() -> bool:
-    """Whether the fused training kernels are active."""
-    return _FUSED
-
-
-def set_fused(flag: bool) -> bool:
-    """Toggle fused kernels (benchmark/gradcheck hook); returns previous."""
-    global _FUSED
-    previous = _FUSED
-    _FUSED = bool(flag)
-    return previous
 
 
 def _ensure_float(x) -> np.ndarray:
@@ -58,11 +36,6 @@ def _ensure_float(x) -> np.ndarray:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    if not _FUSED:
-        shifted = x - x.max(axis=axis, keepdims=True).detach()
-        exp = shifted.exp()
-        return exp / exp.sum(axis=axis, keepdims=True)
-    obs.count("nn.fused_dispatches")
     data = x.data
     probs = data - data.max(axis=axis, keepdims=True)
     np.exp(probs, out=probs)
@@ -80,10 +53,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    if not _FUSED:
-        shifted = x - x.max(axis=axis, keepdims=True).detach()
-        return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-    obs.count("nn.fused_dispatches")
     data = x.data
     out = data - data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(out).sum(axis=axis, keepdims=True))
@@ -107,9 +76,6 @@ def masked_softmax(x: Tensor, mask: "np.ndarray | None", axis: int = -1) -> Tens
     """
     if mask is None:
         return softmax(x, axis=axis)
-    if not _FUSED:
-        return softmax(x.masked_fill(mask, _MASK_FILL), axis=axis)
-    obs.count("nn.fused_dispatches")
     mask = np.asarray(mask, dtype=bool)
     probs = np.where(mask, _MASK_FILL, x.data)
     probs -= probs.max(axis=axis, keepdims=True)
@@ -129,13 +95,6 @@ def masked_softmax(x: Tensor, mask: "np.ndarray | None", axis: int = -1) -> Tens
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis (fused forward + backward)."""
-    if not _FUSED:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * (var + eps) ** -0.5
-        return normed * gain + bias
-    obs.count("nn.fused_dispatches")
     data = x.data
     d = data.shape[-1]
     xhat = data - data.mean(axis=-1, keepdims=True)

@@ -1,20 +1,18 @@
 """Loss functions over autograd tensors.
 
-``cross_entropy`` and ``soft_cross_entropy`` run as *fused* kernels by
-default: one graph node computes shifted-logit log-sum-exp, picks/blends
-the target log-probabilities, and the backward pass emits the classic
+``cross_entropy`` and ``soft_cross_entropy`` are *fused* kernels: one
+graph node computes shifted-logit log-sum-exp, picks/blends the target
+log-probabilities, and the backward pass emits the classic
 ``(softmax - target) / N`` gradient in a single pass — instead of the
-log-softmax → gather → mean chain of graph nodes the composite path
-builds. ``repro.nn.functional.set_fused(False)`` restores the composite
-reference implementations (the gradcheck oracle and bench baseline).
+log-softmax → gather → mean chain of graph nodes a composite build
+records. The composite formulations live in
+``tests/composite_kernels.py`` as the gradcheck oracle and bench baseline.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
-from repro.nn import functional as F
 from repro.nn.tensor import Tensor, is_grad_enabled
 
 
@@ -33,21 +31,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     equal to ``ignore_index`` contribute nothing (masked-LM convention).
     """
     targets = np.asarray(targets, dtype=np.int64)
-    if not F.fused_enabled():
-        log_probs = F.log_softmax(logits, axis=-1)
-        flat = log_probs.reshape(-1, logits.shape[-1])
-        flat_targets = targets.reshape(-1)
-        if ignore_index is not None:
-            keep = flat_targets != ignore_index
-            if not keep.any():
-                return Tensor(0.0)
-            rows = np.flatnonzero(keep)
-            picked = flat[rows, flat_targets[rows]]
-        else:
-            picked = flat[np.arange(flat_targets.size), flat_targets]
-        return -picked.mean()
-
-    obs.count("nn.fused_dispatches")
     data = logits.data
     n_classes = data.shape[-1]
     flat = data.reshape(-1, n_classes)
@@ -89,13 +72,6 @@ def soft_cross_entropy(logits: Tensor, target_probs: np.ndarray) -> Tensor:
     Target rows need not sum to one (sample-weighted self-training scales
     them); the gradient accounts for the row mass exactly.
     """
-    if not F.fused_enabled():
-        target = np.asarray(target_probs, dtype=logits.data.dtype)
-        log_probs = F.log_softmax(logits, axis=-1)
-        per_example = -(Tensor(target) * log_probs).sum(axis=-1)
-        return per_example.mean()
-
-    obs.count("nn.fused_dispatches")
     data = logits.data
     target = np.asarray(target_probs, dtype=data.dtype)
     n_classes = data.shape[-1]

@@ -24,21 +24,16 @@ exactly zero attention weight, so each document's rows depend only on its
 own ids. The equivalence tests in ``tests/test_plm_engine.py`` assert this
 for every entry point.
 
-Env knobs (read by :meth:`EngineConfig.from_env`):
-
-- ``REPRO_ENGINE_BUCKET=0`` — disable length bucketing (seed-style chunks)
-- ``REPRO_ENGINE_INFERENCE_MODE=0`` — keep recording autograd graphs
-- ``REPRO_ENGINE_CACHE=0`` — skip the encode cache on model read paths
-- ``REPRO_ENGINE_TOKEN_BUDGET=<int>`` — padded tokens per batch
-- ``REPRO_ENGINE_FUSED_INFER=1`` — run batches through the packed
-  predict-only forward (:mod:`repro.plm.infer`); float32-ulp-equivalent
-  to the Tensor path, not bit-identical. Quantized artifacts enable it
-  by default; ``=0`` forces the Tensor path even for those.
+``REPRO_ENGINE_TOKEN_BUDGET=<int>`` sets the padded tokens per batch
+(read by :meth:`EngineConfig.from_env`). An encoder loaded from a
+quantized archive carries a packed predict-only twin
+(:mod:`repro.plm.infer`), and batches run through it instead of the
+Tensor forward; the packed forward is float32-ulp-equivalent to the
+Tensor path, not bit-identical.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,49 +46,30 @@ from repro.plm.encoder import TransformerEncoder, pad_batch
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Knobs of the inference engine; every layer can be disabled."""
+    """Batch-shape knobs of the inference engine."""
 
     batch_size: int = 32
-    bucket: bool = True
-    inference: bool = True
-    cache: bool = True
     token_budget: "int | None" = None  # None -> batch_size * max_len
-    fused_infer: bool = False  # packed numpy forward (float32-ulp, not bit)
 
     @classmethod
     def from_env(cls, batch_size: int = 32) -> "EngineConfig":
-        """Config honouring the ``REPRO_ENGINE_*`` environment knobs."""
-        forced = _env.engine_fused_infer()
-        return cls(
-            batch_size=batch_size,
-            bucket=_env.env_flag("REPRO_ENGINE_BUCKET", True),
-            inference=_env.env_flag("REPRO_ENGINE_INFERENCE_MODE", True),
-            cache=_env.env_flag("REPRO_ENGINE_CACHE", True),
-            token_budget=_env.engine_token_budget(),
-            fused_infer=bool(forced),
-        )
-
-    def grad_context(self):
-        """The context manager batches execute under."""
-        return inference_mode() if self.inference else contextlib.nullcontext()
+        """Config honouring ``REPRO_ENGINE_TOKEN_BUDGET``."""
+        return cls(batch_size=batch_size,
+                   token_budget=_env.engine_token_budget())
 
 
 def plan_batches(lengths: list, config: EngineConfig, max_len: int) -> list:
-    """Partition sequence indices into batches.
+    """Partition sequence indices into length-bucketed batches.
 
-    Returns index arrays (into the original order). With bucketing off this
-    is plain fixed-size chunking in corpus order — the seed behaviour. With
-    bucketing on, indices are stably sorted by length and batches grow
-    until the *padded* size (count x running max length) would exceed the
-    token budget, or the batch holds ``batch_size * max_len`` sequences
-    (cap for degenerate all-empty inputs).
+    Returns index arrays (into the original order). Indices are stably
+    sorted by length and batches grow until the *padded* size (count x
+    running max length) would exceed the token budget, or the batch holds
+    ``batch_size * max_len`` sequences (cap for degenerate all-empty
+    inputs).
     """
     n = len(lengths)
     if n == 0:
         return []
-    if not config.bucket:
-        return [np.arange(start, min(start + config.batch_size, n))
-                for start in range(0, n, config.batch_size)]
     budget = config.token_budget or config.batch_size * max_len
     order = np.argsort(np.asarray(lengths, dtype=np.int64), kind="stable")
     batches: list[np.ndarray] = []
@@ -115,25 +91,22 @@ def run_encoder(encoder: TransformerEncoder, sequences: list, pad_id: int,
                 config: EngineConfig, per_batch) -> None:
     """Run ``sequences`` (id arrays) through ``encoder`` batch by batch.
 
-    ``per_batch(indices, ids, pad_mask, hidden)`` is invoked inside the
-    engine's grad context for every planned batch; ``indices`` maps batch
-    rows back to positions in ``sequences``, ``hidden`` is the (B, T, D)
-    output tensor. Consumers un-permute by writing through ``indices``.
+    ``per_batch(indices, ids, pad_mask, hidden)`` is invoked under
+    :class:`~repro.nn.tensor.inference_mode` for every planned batch;
+    ``indices`` maps batch rows back to positions in ``sequences``,
+    ``hidden`` is the (B, T, D) output tensor. Consumers un-permute by
+    writing through ``indices``. An encoder with a packed twin attached
+    (:func:`repro.plm.infer.packed_encoder`) runs through it instead.
     """
     max_len = encoder.config.max_len
     batches = plan_batches([len(s) for s in sequences], config, max_len)
-    packed = None
-    if config.fused_infer and config.inference:
-        from repro.nn import functional as F
-        if F.fused_enabled():
-            from repro.plm.infer import packed_encoder
-            packed = packed_encoder(encoder)
+    packed = getattr(encoder, "_packed_encoder", None)
     for indices in batches:
         chunk = [sequences[i] for i in indices]
         ids, pad_mask = pad_batch(chunk, pad_id, max_len)
         with obs.span("encode:batch", docs=len(chunk),
                       width=int(ids.shape[1])):
-            with config.grad_context():
+            with inference_mode():
                 if packed is not None:
                     hidden = Tensor(packed.forward(ids, pad_mask))
                 else:

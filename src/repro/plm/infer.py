@@ -19,39 +19,31 @@ shapes the encoder spends 30-60% of its wall clock outside BLAS.
   kernels in :mod:`repro.nn.functional` so outputs agree with the
   Tensor path to float32 ulp;
 - **cache-blocked scores** — query rows are processed in blocks of
-  ``block_rows`` (``REPRO_ENGINE_BLOCK_ROWS``), so the (T, T) score
-  matrix never exceeds (block, T) per head and stays cache-resident for
-  long sequences.
+  ``BLOCK_ROWS`` (128), so the (T, T) score matrix never exceeds
+  (block, T) per head and stays cache-resident for long sequences.
 
 The packed path is *inference-only*: it never records gradients, never
 stores attention maps, and assumes frozen weights (the same contract as
-the encode cache's content-addressed namespace). It activates through
-the engine when ``EngineConfig.fused_infer`` is set — quantized
-predict-only artifacts enable it by default — and only while the fused
-kernels are active (:func:`repro.nn.functional.fused_enabled`), so
-``set_fused(False)`` disables this path together with the training
-kernels. The equivalence suite (``tests/test_infer_fused.py``) holds
-packed and Tensor forwards to float32-ulp agreement.
+the encode cache's content-addressed namespace). The artifact chooses
+it: :func:`repro.plm.io.build_plm` attaches a pack
+(:func:`packed_encoder`) exactly when the archive manifest records a
+``quantize`` mode, and the engine runs every batch of an encoder that
+carries one through it. Float models keep the Tensor forward. The
+equivalence suite (``tests/test_infer_fused.py``) holds packed and
+Tensor forwards to float32-ulp agreement.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import env as _env
 from repro.plm.encoder import TransformerEncoder
 
 #: Finite stand-in for -inf in masked softmax (matches nn.functional).
 _MASK_FILL = -1e9
 
-#: Default query-block height for the attention score kernel.
-_DEFAULT_BLOCK_ROWS = 128
-
-
-def block_rows() -> int:
-    """Query-block height for cache-blocked attention scores."""
-    value = _env.env_int("REPRO_ENGINE_BLOCK_ROWS", _DEFAULT_BLOCK_ROWS)
-    return max(1, int(value))
+#: Query-block height for the cache-blocked attention score kernel.
+BLOCK_ROWS = 128
 
 
 class PackedEncoder:
@@ -69,7 +61,7 @@ class PackedEncoder:
         self.n_heads = config.n_heads
         self.head_dim = config.dim // config.n_heads
         self.max_len = config.max_len
-        self.block = int(block) if block else block_rows()
+        self.block = int(block) if block else BLOCK_ROWS
         self.token_table = encoder.token_embedding.weight.data
         self.position_table = encoder.position_embedding.weight.data
         self.final_norm = (encoder.final_norm.gain.data,
@@ -185,12 +177,15 @@ class PackedEncoder:
 
 
 def packed_encoder(encoder: TransformerEncoder) -> PackedEncoder:
-    """The cached :class:`PackedEncoder` for ``encoder`` (built on first use).
+    """The :class:`PackedEncoder` attached to ``encoder`` (built on first use).
 
-    The pack is keyed on the encoder instance and assumes frozen weights —
-    the same read-path contract as ``PretrainedLM.cache_namespace``.
-    Anything that re-trains the encoder must discard it (or construct a
-    fresh encoder, as the training paths already do).
+    Attaching is the switch: once ``encoder`` carries a pack, the
+    inference engine (:func:`repro.plm.engine.run_encoder`) runs its
+    batches through the pack instead of the Tensor forward. The pack is
+    keyed on the encoder instance and assumes frozen weights — the same
+    read-path contract as ``PretrainedLM.cache_namespace``. Anything that
+    re-trains the encoder must discard it (or construct a fresh encoder,
+    as the training paths already do).
     """
     packed = getattr(encoder, "_packed_encoder", None)
     if packed is None:

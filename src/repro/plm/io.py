@@ -19,11 +19,12 @@ plus per-row float32 absmax scales (``scale_<i>``); vectors (biases,
 norm gains) stay at full precision — they are tiny and their error would
 be amplified by every token. float16 halves every float array. Both
 variants dequantize back to the archive's compute dtype at load, and the
-loaded engine defaults to the packed predict-only forward
+loaded encoder runs the packed predict-only forward
 (:mod:`repro.plm.infer`) — quantization already forfeited bit-exactness
 with the trainer, so the faster float32-ulp kernel costs nothing
-further. Dequantization is deterministic, so a quantized archive loads
-bit-identically across processes and hosts.
+further. Float archives keep the Tensor forward. Dequantization is
+deterministic, so a quantized archive loads bit-identically across
+processes and hosts.
 
 Corrupt or truncated archives raise
 :class:`~repro.core.exceptions.ArtifactError` naming the file, never a
@@ -34,17 +35,15 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.core import env as _env
 from repro.core.exceptions import ArtifactError
 from repro.nn.tensor import default_dtype
 from repro.plm.config import PLMConfig
 from repro.plm.encoder import TransformerEncoder
-from repro.plm.engine import EngineConfig
+from repro.plm.infer import packed_encoder
 from repro.plm.model import PretrainedLM
 from repro.text.vocabulary import Vocabulary
 
@@ -213,15 +212,11 @@ def build_plm(arrays: list, meta: dict, *, copy: bool = True) -> PretrainedLM:
     # round-tripped through disk shares cached encodings with its source.
     from repro.plm.provider import shared_encode_cache
 
-    engine_config = EngineConfig.from_env()
-    if meta.get("quantize") is not None and _env.engine_fused_infer() is None:
+    if meta.get("quantize") is not None:
         # Quantized archives are predict-only and already non-bit-exact
-        # with the trainer, so they default to the packed fused forward.
-        # An explicit REPRO_ENGINE_FUSED_INFER=0 wins (handled above:
-        # from_env folds a forced value in; None means "defaulted").
-        engine_config = replace(engine_config, fused_infer=True)
-    return PretrainedLM(encoder, enc_cache=shared_encode_cache(),
-                        engine_config=engine_config)
+        # with the trainer, so they run the packed forward.
+        packed_encoder(encoder)
+    return PretrainedLM(encoder, enc_cache=shared_encode_cache())
 
 
 def load_plm(path: "str | Path") -> PretrainedLM:

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.enc_cache import EncodeCache, array_digest, doc_key
 from repro.nn.functional import l2_normalize, masked_mean_pool
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, inference_mode
 from repro.plm import engine
 from repro.plm.encoder import TransformerEncoder, pad_batch
 from repro.plm.engine import EngineConfig
@@ -36,9 +36,9 @@ class PretrainedLM:
         Optional :class:`~repro.core.enc_cache.EncodeCache` shared across
         models — the provider wires in a process-wide instance so the
         second method to encode a corpus gets its hidden states for free.
+        ``None`` encodes every call uncached.
     engine_config:
-        Inference-engine knobs; defaults honour the ``REPRO_ENGINE_*``
-        environment variables.
+        Batch-shape knobs; defaults honour ``REPRO_ENGINE_TOKEN_BUDGET``.
     """
 
     def __init__(self, encoder: TransformerEncoder, batch_size: int = 32,
@@ -95,7 +95,7 @@ class PretrainedLM:
         safe = [s if len(s) else np.array([vocab.unk_id], dtype=np.int64)
                 for s in ids_list]
         hidden: list = [None] * len(safe)
-        cache = self.enc_cache if self.engine.cache else None
+        cache = self.enc_cache
         keys: "list | None" = None
         misses = list(range(len(safe)))
         if cache is not None:
@@ -133,7 +133,7 @@ class PretrainedLM:
         substitution for sliding-window encoding).
         """
         hidden, _ = self._encode_ids(token_lists)
-        if self.enc_cache is not None and self.engine.cache:
+        if self.enc_cache is not None:
             return [states.copy() for states in hidden]  # protect the cache
         return hidden
 
@@ -165,7 +165,7 @@ class PretrainedLM:
         ids, mask = pad_batch([seq], vocab.pad_id, self.max_len)
         self.encoder.set_store_attention(True)
         try:
-            with self.engine.grad_context():
+            with inference_mode():
                 hidden = self.encoder(ids, pad_mask=mask).data[0]
             attention = self.encoder.attention_maps()[-1][0]  # (H, T, T)
         finally:
@@ -198,7 +198,7 @@ class PretrainedLM:
         if position >= self.max_len:
             raise ValueError("mask position beyond max_len after truncation")
         ids, mask = pad_batch([seq], vocab.pad_id, self.max_len)
-        with self.engine.grad_context():
+        with inference_mode():
             hidden = self.encoder(ids, pad_mask=mask)
             # The MLM head is position-wise: project just the masked row.
             row = Tensor(hidden.data[0, position][None, :])

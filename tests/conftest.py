@@ -64,3 +64,19 @@ def tiny_relevance(tiny_plm):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def packed_forward_calls(monkeypatch):
+    """Counts ``PackedEncoder.forward`` calls made during the test."""
+    from repro.plm.infer import PackedEncoder
+
+    calls = {"n": 0}
+    real = PackedEncoder.forward
+
+    def counting(self, ids, pad_mask=None):
+        calls["n"] += 1
+        return real(self, ids, pad_mask)
+
+    monkeypatch.setattr(PackedEncoder, "forward", counting)
+    return calls

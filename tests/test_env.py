@@ -1,11 +1,18 @@
 """Central env accessors: typed parsing, defaults, clear failures."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import env
 from repro.core.exceptions import ConfigurationError
 
 pytestmark = pytest.mark.obs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_empty_counts_as_unset(monkeypatch):
@@ -63,13 +70,71 @@ def test_trace_dir_default_off(monkeypatch):
 
 def test_engine_and_nn_defaults(monkeypatch):
     for name in ("REPRO_ENGINE_TOKEN_BUDGET", "REPRO_NN_DTYPE",
-                 "REPRO_NN_FUSED", "REPRO_NN_PROFILE", "REPRO_ENC_CACHE"):
+                 "REPRO_NN_PROFILE", "REPRO_ENC_CACHE"):
         monkeypatch.delenv(name, raising=False)
     assert env.engine_token_budget() is None
     assert env.nn_dtype() == "float32"
-    assert env.nn_fused() is True
     assert env.nn_profile() is False
     assert env.enc_cache_enabled() is True
+
+
+@pytest.mark.parametrize("raw", ["float16", "banana"])
+def test_bad_nn_dtype_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("REPRO_NN_DTYPE", raw)
+    with pytest.raises(ConfigurationError, match=f"REPRO_NN_DTYPE.*{raw!r}"):
+        env.nn_dtype()
+    monkeypatch.setenv("REPRO_NN_DTYPE", "float64")
+    assert env.nn_dtype() == "float64"
+
+
+@pytest.mark.parametrize("raw", ["float16", "banana"])
+def test_bad_nn_dtype_fails_import_with_typed_error(raw):
+    # repro.nn resolves the default dtype at import time; a fresh
+    # interpreter shows what a user with a bad environment sees.
+    script = (
+        "from repro.core.exceptions import ConfigurationError\n"
+        "try:\n"
+        "    import repro.nn\n"
+        "except ConfigurationError as exc:\n"
+        "    print('typed:', exc)\n"
+    )
+    environ = {**os.environ, "REPRO_NN_DTYPE": raw,
+               "PYTHONPATH": os.pathsep.join(filter(None, [
+                   str(SRC), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=environ,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "typed: REPRO_NN_DTYPE" in result.stdout
+
+
+def test_negative_token_budget_is_rejected(monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE_TOKEN_BUDGET", "-5")
+    with pytest.raises(ConfigurationError,
+                       match="REPRO_ENGINE_TOKEN_BUDGET.*-5"):
+        env.engine_token_budget()
+    monkeypatch.setenv("REPRO_ENGINE_TOKEN_BUDGET", "0")
+    assert env.engine_token_budget() is None  # 0 keeps "engine default"
+    monkeypatch.setenv("REPRO_ENGINE_TOKEN_BUDGET", "4096")
+    assert env.engine_token_budget() == 4096
+
+
+def test_negative_token_budget_never_reaches_the_planner(monkeypatch):
+    from repro.plm.engine import EngineConfig
+
+    monkeypatch.setenv("REPRO_ENGINE_TOKEN_BUDGET", "-5")
+    with pytest.raises(ConfigurationError, match="REPRO_ENGINE_TOKEN_BUDGET"):
+        EngineConfig.from_env()
+
+
+def test_negative_enc_cache_bytes_is_rejected(monkeypatch):
+    from repro.core.enc_cache import EncodeCache
+
+    monkeypatch.delenv("REPRO_ENC_CACHE", raising=False)
+    monkeypatch.setenv("REPRO_ENC_CACHE_BYTES", "-1")
+    with pytest.raises(ConfigurationError, match="REPRO_ENC_CACHE_BYTES.*-1"):
+        EncodeCache.from_env()
+    monkeypatch.setenv("REPRO_ENC_CACHE_BYTES", "0")
+    assert env.enc_cache_bytes(123) == 0  # 0 keeps "store nothing"
 
 
 def test_run_graph_surfaces_bad_jobs(monkeypatch):

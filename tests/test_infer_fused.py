@@ -1,10 +1,10 @@
-"""Packed fused-infer path: float32-ulp equivalence with the Tensor path.
+"""Packed predict-only forward: float32-ulp equivalence with the Tensor path.
 
 The oracle is the Tensor-based encoder under ``inference_mode``: the
 packed forward mirrors its fused op order exactly, so outputs must
 agree to float32 ulp on every batch shape — padded, unpadded, blocked,
-unblocked — and the engine must fall back to the Tensor path whenever
-the fused kernels are globally disabled.
+unblocked — and the engine must run an encoder through its pack exactly
+when one is attached.
 """
 
 from __future__ import annotations
@@ -12,13 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import functional as F
-from repro.plm import infer
-from repro.plm.encoder import pad_batch
-from repro.plm.engine import EngineConfig
-from repro.plm.infer import PackedEncoder, packed_encoder
-from repro.plm.model import PretrainedLM
 from repro.nn.tensor import inference_mode
+from repro.plm.encoder import pad_batch
+from repro.plm.infer import PackedEncoder, packed_encoder
+from repro.plm.io import load_plm, save_plm
+from repro.plm.model import PretrainedLM
 
 pytestmark = pytest.mark.engine
 
@@ -72,15 +70,6 @@ def test_blocked_scores_match_unblocked(tiny_plm, agnews_small):
         np.testing.assert_allclose(blocked, whole, atol=ULP_ATOL, rtol=0)
 
 
-def test_block_rows_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BLOCK_ROWS", "7")
-    assert infer.block_rows() == 7
-    monkeypatch.setenv("REPRO_ENGINE_BLOCK_ROWS", "0")
-    assert infer.block_rows() == 1  # clamped to a sane minimum
-    monkeypatch.delenv("REPRO_ENGINE_BLOCK_ROWS")
-    assert infer.block_rows() == infer._DEFAULT_BLOCK_ROWS
-
-
 def test_packed_rejects_overlong_sequences(tiny_plm):
     packed = PackedEncoder(tiny_plm.encoder)
     ids = np.zeros((1, tiny_plm.max_len + 1), dtype=np.int64)
@@ -88,49 +77,29 @@ def test_packed_rejects_overlong_sequences(tiny_plm):
         packed.forward(ids, np.zeros_like(ids, dtype=bool))
 
 
-def test_packed_encoder_is_cached_per_encoder(tiny_plm):
-    first = packed_encoder(tiny_plm.encoder)
-    assert packed_encoder(tiny_plm.encoder) is first
+def _float_copy(plm, tmp_path):
+    """A fresh float encoder with ``plm``'s weights (nothing attached)."""
+    return load_plm(save_plm(plm, tmp_path / "copy.npz"))
 
 
-def test_engine_fused_infer_end_to_end(tiny_plm, agnews_small, monkeypatch):
+def test_packed_encoder_is_cached_per_encoder(tiny_plm, tmp_path):
+    encoder = _float_copy(tiny_plm, tmp_path).encoder
+    first = packed_encoder(encoder)
+    assert packed_encoder(encoder) is first
+
+
+def test_engine_packed_forward_end_to_end(tiny_plm, agnews_small, tmp_path,
+                                          packed_forward_calls):
     docs = agnews_small.test_corpus.token_lists()[:12]
     baseline = PretrainedLM(tiny_plm.encoder, enc_cache=None).doc_embeddings(docs)
+    calls = packed_forward_calls
 
-    calls = {"n": 0}
-    real = infer.packed_encoder
+    copy = _float_copy(tiny_plm, tmp_path)
+    plain = PretrainedLM(copy.encoder, enc_cache=None).doc_embeddings(docs)
+    assert calls["n"] == 0, "a float encoder keeps the Tensor forward"
+    np.testing.assert_array_equal(plain, baseline)
 
-    def counting(encoder):
-        calls["n"] += 1
-        return real(encoder)
-
-    monkeypatch.setattr(infer, "packed_encoder", counting)
-    fused_plm = PretrainedLM(tiny_plm.encoder, enc_cache=None,
-                             engine_config=EngineConfig(fused_infer=True))
-    fused = fused_plm.doc_embeddings(docs)
-    assert calls["n"] > 0, "fused_infer should route through the packed path"
-    np.testing.assert_allclose(fused, baseline, atol=ULP_ATOL, rtol=0)
-
-
-def test_set_fused_false_disables_packed_path(tiny_plm, agnews_small,
-                                              monkeypatch):
-    docs = agnews_small.test_corpus.token_lists()[:6]
-    calls = {"n": 0}
-    real = infer.packed_encoder
-
-    def counting(encoder):
-        calls["n"] += 1
-        return real(encoder)
-
-    monkeypatch.setattr(infer, "packed_encoder", counting)
-    plm = PretrainedLM(tiny_plm.encoder, enc_cache=None,
-                       engine_config=EngineConfig(fused_infer=True))
-    F.set_fused(False)
-    try:
-        slow = plm.doc_embeddings(docs)
-    finally:
-        F.set_fused(True)
-    assert calls["n"] == 0, "set_fused(False) must veto the packed path"
-    fast = plm.doc_embeddings(docs)
-    assert calls["n"] > 0
-    np.testing.assert_allclose(fast, slow, atol=ULP_ATOL, rtol=0)
+    packed_encoder(copy.encoder)
+    packed = PretrainedLM(copy.encoder, enc_cache=None).doc_embeddings(docs)
+    assert calls["n"] > 0, "an attached pack should carry every batch"
+    np.testing.assert_allclose(packed, baseline, atol=ULP_ATOL, rtol=0)

@@ -5,7 +5,8 @@ Three layers of guarantees for the float32 training engine:
 1. **gradcheck** — every fused kernel's analytic backward matches float64
    central finite differences of its own forward;
 2. **fused == composite** — the fused kernels agree with the composite
-   autograd reference (forward values and input gradients) at float64;
+   autograd oracle in ``tests/composite_kernels.py`` (forward values and
+   input gradients) at float64;
 3. **dtype discipline** — ops preserve float32 end-to-end, float32 and
    float64 training reach the same answers within tolerance, and a fixed
    seed + dtype yields bit-identical parameters and predictions.
@@ -13,25 +14,33 @@ Three layers of guarantees for the float32 training engine:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import repro.nn.functional as F
 from repro.classifiers import BagOfEmbeddingsClassifier
-from repro.nn.layers import LayerNorm
-from repro.nn.losses import cross_entropy, soft_cross_entropy
+from repro.nn import losses
 from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor, default_dtype
 from repro.text.vocabulary import Vocabulary
+from tests import composite_kernels
 
 pytestmark = pytest.mark.training
 
+#: The library's fused kernels, under the oracle module's names.
+FUSED = SimpleNamespace(
+    softmax=F.softmax, log_softmax=F.log_softmax,
+    masked_softmax=F.masked_softmax, layer_norm=F.layer_norm,
+    cross_entropy=losses.cross_entropy,
+    soft_cross_entropy=losses.soft_cross_entropy,
+)
 
-@pytest.fixture(params=[True, False], ids=["fused", "composite"])
-def fused(request):
-    previous = F.set_fused(request.param)
-    yield request.param
-    F.set_fused(previous)
+
+@pytest.fixture(params=[FUSED, composite_kernels], ids=["fused", "composite"])
+def kernels(request):
+    return request.param
 
 
 @pytest.fixture
@@ -73,19 +82,19 @@ def rng64(f64):
     return np.random.default_rng(7)
 
 
-def test_gradcheck_softmax(fused, rng64):
+def test_gradcheck_softmax(kernels, rng64):
     x = rng64.normal(size=(3, 5))
     weights = rng64.normal(size=(3, 5))  # random scalarization
-    check_grad(lambda t: (F.softmax(t, axis=-1) * Tensor(weights)).sum(), x)
+    check_grad(lambda t: (kernels.softmax(t, axis=-1) * Tensor(weights)).sum(), x)
 
 
-def test_gradcheck_log_softmax(fused, rng64):
+def test_gradcheck_log_softmax(kernels, rng64):
     x = rng64.normal(size=(4, 6))
     weights = rng64.normal(size=(4, 6))
-    check_grad(lambda t: (F.log_softmax(t, axis=-1) * Tensor(weights)).sum(), x)
+    check_grad(lambda t: (kernels.log_softmax(t, axis=-1) * Tensor(weights)).sum(), x)
 
 
-def test_gradcheck_masked_softmax(fused, rng64):
+def test_gradcheck_masked_softmax(kernels, rng64):
     x = rng64.normal(size=(2, 4, 4))
     mask = np.zeros((2, 1, 4), dtype=bool)
     mask[0, 0, 3] = True  # block one key column in the first batch row
@@ -93,18 +102,18 @@ def test_gradcheck_masked_softmax(fused, rng64):
     # Blocked entries carry zero probability, so the scalarization only
     # sees the surviving entries — finite differences agree exactly.
     check_grad(
-        lambda t: (F.masked_softmax(t, mask, axis=-1) * Tensor(weights)).sum(), x
+        lambda t: (kernels.masked_softmax(t, mask, axis=-1) * Tensor(weights)).sum(), x
     )
 
 
-def test_gradcheck_layer_norm(fused, rng64):
+def test_gradcheck_layer_norm(kernels, rng64):
     x = rng64.normal(size=(3, 8))
     gain = Tensor(rng64.normal(size=8) + 1.0, requires_grad=True)
     bias = Tensor(rng64.normal(size=8), requires_grad=True)
     weights = rng64.normal(size=(3, 8))
 
     def fn(t):
-        return (F.layer_norm(t, gain, bias) * Tensor(weights)).sum()
+        return (kernels.layer_norm(t, gain, bias) * Tensor(weights)).sum()
 
     check_grad(fn, x, atol=1e-6)
     # gain / bias gradients against finite differences too.
@@ -114,40 +123,40 @@ def test_gradcheck_layer_norm(fused, rng64):
     loss.backward()
     want_gain = numeric_grad(
         lambda g: float(
-            (F.layer_norm(Tensor(x), Tensor(g), bias) * Tensor(weights)).sum().data
+            (kernels.layer_norm(Tensor(x), Tensor(g), bias) * Tensor(weights)).sum().data
         ),
         gain.data.copy(),
     )
     np.testing.assert_allclose(gain.grad, want_gain, atol=1e-6, rtol=1e-5)
 
 
-def test_gradcheck_cross_entropy(fused, rng64):
+def test_gradcheck_cross_entropy(kernels, rng64):
     x = rng64.normal(size=(6, 5))
     targets = rng64.integers(0, 5, size=6)
-    check_grad(lambda t: cross_entropy(t, targets), x)
+    check_grad(lambda t: kernels.cross_entropy(t, targets), x)
 
 
-def test_gradcheck_cross_entropy_ignore_index(fused, rng64):
+def test_gradcheck_cross_entropy_ignore_index(kernels, rng64):
     x = rng64.normal(size=(6, 5))
     targets = rng64.integers(0, 5, size=6)
     targets[::2] = -100
-    check_grad(lambda t: cross_entropy(t, targets, ignore_index=-100), x)
+    check_grad(lambda t: kernels.cross_entropy(t, targets, ignore_index=-100), x)
 
 
-def test_gradcheck_soft_cross_entropy(fused, rng64):
+def test_gradcheck_soft_cross_entropy(kernels, rng64):
     x = rng64.normal(size=(5, 4))
     target = rng64.random((5, 4))
     target /= target.sum(axis=1, keepdims=True)
-    check_grad(lambda t: soft_cross_entropy(t, target), x)
+    check_grad(lambda t: kernels.soft_cross_entropy(t, target), x)
 
 
-def test_gradcheck_soft_cross_entropy_weighted_rows(fused, rng64):
+def test_gradcheck_soft_cross_entropy_weighted_rows(kernels, rng64):
     # Self-training scales target rows by sample weights; rows then do
     # not sum to one and the gradient must track the row mass.
     x = rng64.normal(size=(5, 4))
     target = rng64.random((5, 4))
     target *= rng64.random((5, 1)) * 2.0
-    check_grad(lambda t: soft_cross_entropy(t, target), x)
+    check_grad(lambda t: kernels.soft_cross_entropy(t, target), x)
 
 
 @pytest.mark.parametrize("fn_name", ["softmax", "log_softmax"])
@@ -156,16 +165,12 @@ def test_fused_matches_composite(f64, fn_name):
     x = rng.normal(size=(4, 7))
     weights = rng.normal(size=(4, 7))
     outs, grads = [], []
-    for flag in (True, False):
-        previous = F.set_fused(flag)
-        try:
-            t = Tensor(x, requires_grad=True)
-            out = getattr(F, fn_name)(t, axis=-1)
-            (out * Tensor(weights)).sum().backward()
-            outs.append(out.data)
-            grads.append(t.grad)
-        finally:
-            F.set_fused(previous)
+    for impl in (FUSED, composite_kernels):
+        t = Tensor(x, requires_grad=True)
+        out = getattr(impl, fn_name)(t, axis=-1)
+        (out * Tensor(weights)).sum().backward()
+        outs.append(out.data)
+        grads.append(t.grad)
     np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
     np.testing.assert_allclose(grads[0], grads[1], atol=1e-12)
 
@@ -174,33 +179,29 @@ def test_fused_losses_match_composite(f64):
     rng = np.random.default_rng(5)
     x = rng.normal(size=(8, 6))
     targets = rng.integers(0, 6, size=8)
-    losses, grads = [], []
-    for flag in (True, False):
-        previous = F.set_fused(flag)
-        try:
-            t = Tensor(x, requires_grad=True)
-            loss = cross_entropy(t, targets)
-            loss.backward()
-            losses.append(loss.item())
-            grads.append(t.grad)
-        finally:
-            F.set_fused(previous)
-    assert losses[0] == pytest.approx(losses[1], abs=1e-12)
+    values, grads = [], []
+    for impl in (FUSED, composite_kernels):
+        t = Tensor(x, requires_grad=True)
+        loss = impl.cross_entropy(t, targets)
+        loss.backward()
+        values.append(loss.item())
+        grads.append(t.grad)
+    assert values[0] == pytest.approx(values[1], abs=1e-12)
     np.testing.assert_allclose(grads[0], grads[1], atol=1e-12)
 
 
-def test_ops_preserve_float32(fused):
+def test_ops_preserve_float32(kernels):
     x = Tensor(np.random.default_rng(0).normal(size=(3, 4)).astype(np.float32),
                requires_grad=True)
     gain = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
     bias = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
     for out in (
-        F.softmax(x),
-        F.log_softmax(x),
-        F.masked_softmax(x, np.zeros((3, 4), dtype=bool)),
-        F.layer_norm(x, gain, bias),
-        cross_entropy(x, np.array([0, 1, 2], dtype=np.int64)),
-        soft_cross_entropy(x, np.full((3, 4), 0.25, dtype=np.float32)),
+        kernels.softmax(x),
+        kernels.log_softmax(x),
+        kernels.masked_softmax(x, np.zeros((3, 4), dtype=bool)),
+        kernels.layer_norm(x, gain, bias),
+        kernels.cross_entropy(x, np.array([0, 1, 2], dtype=np.int64)),
+        kernels.soft_cross_entropy(x, np.full((3, 4), 0.25, dtype=np.float32)),
     ):
         assert out.dtype == np.float32, out
         out.sum().backward() if out.ndim else out.backward()

@@ -2,9 +2,10 @@
 
 The engine (no-grad eval, length-bucketed batching, encode cache) must be
 invisible numerically: every entry point returns the same values as the
-naive fixed-chunk, graph-recording path, including on degenerate inputs
-(empty documents, all-OOV documents, documents longer than ``max_len``,
-batches of one).
+``seed_*`` references below, which call ``encoder(...)`` directly in
+fixed corpus-order chunks with autograd recording — including on
+degenerate inputs (empty documents, all-OOV documents, documents longer
+than ``max_len``, batches of one).
 """
 
 import numpy as np
@@ -21,8 +22,6 @@ from repro.text.vocabulary import MASK, Vocabulary
 
 pytestmark = pytest.mark.engine
 
-NAIVE = EngineConfig(bucket=False, inference=False, cache=False)
-
 
 @pytest.fixture(scope="module")
 def shared_encoder():
@@ -33,8 +32,9 @@ def shared_encoder():
 
 
 @pytest.fixture(scope="module")
-def naive_plm(shared_encoder):
-    return PretrainedLM(shared_encoder, engine_config=NAIVE)
+def plain_plm(shared_encoder):
+    """The engine without an encode cache."""
+    return PretrainedLM(shared_encoder, enc_cache=None)
 
 
 @pytest.fixture()
@@ -85,6 +85,38 @@ def seed_doc_embeddings(plm, token_lists, normalize=True):
     return l2_normalize(out) if normalize else out
 
 
+def seed_mask_logits(plm, token_lists, positions):
+    """Full (B, T, V) projection per fixed chunk, rows at the masked slots."""
+    vocab = plm.vocabulary
+    sequences = plm._masked_sequences(token_lists, positions)
+    rows = []
+    for start in range(0, len(sequences), plm.batch_size):
+        chunk = sequences[start : start + plm.batch_size]
+        ids, mask = pad_batch(chunk, vocab.pad_id, plm.max_len)
+        logits = plm.encoder.mlm_logits(plm.encoder(ids, pad_mask=mask)).data
+        for row, seq, pos in zip(logits, chunk,
+                                 positions[start : start + plm.batch_size]):
+            rows.append(row[min(pos, max(len(seq), 1) - 1)])
+    return np.stack(rows)
+
+
+def seed_fill_mask(plm, tokens, top_k):
+    """Top-``k`` (word, probability) from the full projection of one doc."""
+    vocab = plm.vocabulary
+    position = tokens.index(MASK)
+    ids, mask = pad_batch([vocab.encode(tokens)[: plm.max_len]],
+                          vocab.pad_id, plm.max_len)
+    hidden = plm.encoder(ids, pad_mask=mask)
+    logits = plm.encoder.mlm_logits(hidden).data[0, position]
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    for special_id in vocab.special_ids:
+        probs[special_id] = 0.0
+    probs /= probs.sum()
+    idx = np.argsort(-probs)[:top_k]
+    return [(vocab.token(int(i)), float(probs[i])) for i in idx]
+
+
 # -- inference_mode ----------------------------------------------------------
 def test_inference_mode_builds_no_graph():
     w = Tensor(np.ones((3, 3)), requires_grad=True)
@@ -124,12 +156,6 @@ def test_params_still_trainable_after_inference_mode():
 
 
 # -- batch planning ----------------------------------------------------------
-def test_plan_batches_unbucketed_is_fixed_chunks():
-    batches = plan_batches([5, 1, 3, 2, 4],
-                           EngineConfig(batch_size=2, bucket=False), 12)
-    assert [list(b) for b in batches] == [[0, 1], [2, 3], [4]]
-
-
 def test_plan_batches_sorts_by_length_and_covers_all():
     lengths = [9, 1, 7, 2, 8, 3]
     batches = plan_batches(lengths, EngineConfig(batch_size=2), 12)
@@ -153,9 +179,9 @@ def test_plan_batches_empty_input():
 
 
 # -- encode equivalence ------------------------------------------------------
-def test_encode_tokens_matches_seed_reference(naive_plm, fast_plm, mixed_docs):
-    reference = seed_encode_tokens(naive_plm, mixed_docs)
-    for plm in (naive_plm, fast_plm):
+def test_encode_tokens_matches_seed_reference(plain_plm, fast_plm, mixed_docs):
+    reference = seed_encode_tokens(plain_plm, mixed_docs)
+    for plm in (plain_plm, fast_plm):
         out = plm.encode_tokens(mixed_docs)
         assert len(out) == len(reference)
         for got, want in zip(out, reference):
@@ -163,19 +189,19 @@ def test_encode_tokens_matches_seed_reference(naive_plm, fast_plm, mixed_docs):
             np.testing.assert_allclose(got, want, atol=1e-9)
 
 
-def test_doc_embeddings_matches_seed_reference(naive_plm, fast_plm, mixed_docs):
+def test_doc_embeddings_matches_seed_reference(plain_plm, fast_plm, mixed_docs):
     for normalize in (True, False):
-        reference = seed_doc_embeddings(naive_plm, mixed_docs, normalize)
-        for plm in (naive_plm, fast_plm):
+        reference = seed_doc_embeddings(plain_plm, mixed_docs, normalize)
+        for plm in (plain_plm, fast_plm):
             got = plm.doc_embeddings(mixed_docs, normalize=normalize)
             np.testing.assert_allclose(got, reference, atol=1e-9)
 
 
-def test_encode_batch_of_one(naive_plm, fast_plm):
+def test_encode_batch_of_one(plain_plm, fast_plm):
     doc = [["w1", "w2", "w3"]]
-    np.testing.assert_allclose(naive_plm.encode_tokens(doc)[0],
+    np.testing.assert_allclose(seed_encode_tokens(plain_plm, doc)[0],
                                fast_plm.encode_tokens(doc)[0], atol=1e-9)
-    np.testing.assert_allclose(naive_plm.doc_embeddings(doc),
+    np.testing.assert_allclose(seed_doc_embeddings(plain_plm, doc),
                                fast_plm.doc_embeddings(doc), atol=1e-9)
 
 
@@ -188,34 +214,35 @@ def test_encode_tokens_results_are_caller_owned(fast_plm):
 
 
 # -- mask logits equivalence -------------------------------------------------
-def test_mask_logits_batch_matches_naive(naive_plm, fast_plm, mixed_docs):
+def test_mask_logits_batch_matches_naive(plain_plm, fast_plm, mixed_docs):
     docs = [d if d else ["w1", "w2"] for d in mixed_docs]
     positions = [min(1, len(d) - 1) for d in docs]
-    naive = naive_plm.mask_logits_batch(docs, positions)
-    fast = fast_plm.mask_logits_batch(docs, positions)
-    assert naive.dtype == np.float32 and fast.dtype == np.float32
-    np.testing.assert_allclose(naive, fast, atol=1e-6)
+    naive = seed_mask_logits(plain_plm, docs, positions).astype(np.float32)
+    for plm in (plain_plm, fast_plm):
+        got = plm.mask_logits_batch(docs, positions)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(naive, got, atol=1e-6)
 
 
-def test_mask_logits_gathered_head_matches_full_projection(naive_plm):
+def test_mask_logits_gathered_head_matches_full_projection(plain_plm):
     """Position-gathered MLM head == full (B, T, V) projection rows."""
     docs = [["w3", "w4", "w5", "w6"], ["w9", "w10"]]
     positions = [2, 0]
-    got = naive_plm.mask_logits_batch(docs, positions)
-    vocab = naive_plm.vocabulary
-    sequences = naive_plm._masked_sequences(docs, positions)
-    ids, mask = pad_batch(sequences, vocab.pad_id, naive_plm.max_len)
-    hidden = naive_plm.encoder(ids, pad_mask=mask)
-    full = naive_plm.encoder.mlm_logits(hidden).data
+    got = plain_plm.mask_logits_batch(docs, positions)
+    vocab = plain_plm.vocabulary
+    sequences = plain_plm._masked_sequences(docs, positions)
+    ids, mask = pad_batch(sequences, vocab.pad_id, plain_plm.max_len)
+    hidden = plain_plm.encoder(ids, pad_mask=mask)
+    full = plain_plm.encoder.mlm_logits(hidden).data
     want = np.stack([full[i, p] for i, p in enumerate(positions)])
     np.testing.assert_allclose(got, want.astype(np.float32), atol=1e-6)
 
 
-def test_mask_topk_matches_full_argsort(naive_plm, fast_plm):
+def test_mask_topk_matches_full_argsort(plain_plm, fast_plm):
     docs = [[f"w{(i + j) % 60}" for j in range(3 + i % 9)] for i in range(12)]
     positions = [i % 3 for i in range(12)]
     k = 7
-    logits = naive_plm.mask_logits_batch(docs, positions).astype(np.float64)
+    logits = seed_mask_logits(plain_plm, docs, positions).astype(np.float64)
     full_top = np.argsort(-logits, axis=1)[:, :k]
     top = fast_plm.mask_topk_batch(docs, positions, k)
     assert top.shape == (12, k)
@@ -223,13 +250,14 @@ def test_mask_topk_matches_full_argsort(naive_plm, fast_plm):
         assert set(got.tolist()) == set(want.tolist())
 
 
-def test_fill_mask_matches_naive(naive_plm, fast_plm):
+def test_fill_mask_matches_naive(plain_plm, fast_plm):
     tokens = ["w1", "w2", MASK, "w4"]
-    naive = naive_plm.fill_mask(tokens, top_k=6)
-    fast = fast_plm.fill_mask(tokens, top_k=6)
-    assert [w for w, _ in naive] == [w for w, _ in fast]
-    np.testing.assert_allclose([p for _, p in naive], [p for _, p in fast],
-                               atol=1e-9)
+    naive = seed_fill_mask(plain_plm, tokens, top_k=6)
+    for plm in (plain_plm, fast_plm):
+        got = plm.fill_mask(tokens, top_k=6)
+        assert [w for w, _ in naive] == [w for w, _ in got]
+        np.testing.assert_allclose([p for _, p in naive], [p for _, p in got],
+                                   atol=1e-9)
 
 
 # -- encode cache ------------------------------------------------------------
@@ -291,14 +319,6 @@ def test_duplicate_docs_encoded_once_per_call(shared_encoder):
     np.testing.assert_allclose(emb[10], emb[14])
     single = plm.doc_embeddings([["w1", "w2"]])
     np.testing.assert_allclose(single[0], emb[0])
-
-
-def test_engine_cache_knob_disables_lookup(shared_encoder):
-    cache = EncodeCache()
-    plm = PretrainedLM(shared_encoder, enc_cache=cache,
-                       engine_config=EngineConfig(cache=False))
-    plm.doc_embeddings([["w1", "w2"]])
-    assert len(cache) == 0 and cache.misses == 0
 
 
 # -- attention storage -------------------------------------------------------

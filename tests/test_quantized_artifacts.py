@@ -29,6 +29,7 @@ from repro.plm.io import (
     quantize_int8,
     save_plm,
 )
+from repro.plm.model import PretrainedLM
 from repro.serve import ModelRegistry, export_artifact, load_artifact
 from repro.serve import artifacts as artifacts_mod
 
@@ -112,14 +113,18 @@ def test_unknown_quantize_mode_is_typed_error(tiny_plm, tmp_path):
         save_plm(tiny_plm, tmp_path / "bad.npz", quantize="int4")
 
 
-def test_quantized_load_enables_fused_infer(tiny_plm, tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE_FUSED_INFER", raising=False)
-    quant = save_plm(tiny_plm, tmp_path / "q.npz", quantize="int8")
-    assert load_plm(quant).engine.fused_infer
-    assert not load_plm(save_plm(tiny_plm, tmp_path / "f.npz")).engine.fused_infer
-    # An explicit env veto wins over the quantized default.
-    monkeypatch.setenv("REPRO_ENGINE_FUSED_INFER", "0")
-    assert not load_plm(quant).engine.fused_infer
+def test_quantized_load_selects_packed_forward(tiny_plm, tmp_path,
+                                              packed_forward_calls):
+    docs = [["the", "team", "won"], ["markets", "fell"]]
+    # A quantized manifest gives the packed forward ...
+    quant = load_plm(save_plm(tiny_plm, tmp_path / "q.npz", quantize="int8"))
+    PretrainedLM(quant.encoder, enc_cache=None).encode_tokens(docs)
+    assert packed_forward_calls["n"] > 0
+    # ... and a float archive the Tensor forward.
+    packed_forward_calls["n"] = 0
+    full = load_plm(save_plm(tiny_plm, tmp_path / "f.npz"))
+    PretrainedLM(full.encoder, enc_cache=None).encode_tokens(docs)
+    assert packed_forward_calls["n"] == 0
 
 
 # ---------------------------------------------------------------------------
