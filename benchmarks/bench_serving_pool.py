@@ -27,7 +27,11 @@ IPC overhead).
 
 A pooled probe is also checked bit-identical against a single
 in-process :class:`~repro.serve.engine.ServingEngine` over the same
-artifact. Writes ``BENCH_serving_pool.json`` (validated by
+artifact, and that lone engine runs the same closed loop
+(``closed_rps_engine``) with no batch window — the batching rule of a
+replica, which batches only from backlog — so a 1-replica pool can be
+read against it.
+Writes ``BENCH_serving_pool.json`` (validated by
 ``check_bench_artifacts.py``, gated by ``check_regression.py``).
 """
 
@@ -130,8 +134,11 @@ def _distinct_requests(sources: list, namespace: str, n_requests: int) -> list:
             for i in range(n_requests)]
 
 
-def _closed_loop(pool: ReplicaPool, requests: list) -> float:
-    """Saturation throughput (req/s): zero-think-time client threads."""
+def _closed_loop(server, requests: list) -> float:
+    """Saturation throughput (req/s): zero-think-time client threads.
+
+    ``server`` is a :class:`ReplicaPool` or a :class:`ServingEngine`.
+    """
     per_client = len(requests) // N_CLIENTS
     barrier = threading.Barrier(N_CLIENTS + 1)
     errors: list = []
@@ -141,7 +148,7 @@ def _closed_loop(pool: ReplicaPool, requests: list) -> float:
         lo = c * per_client
         for i in range(lo, lo + per_client):
             try:
-                pool.classify(requests[i], timeout=120)
+                server.classify(requests[i], timeout=120)
             except Exception as exc:  # surface, don't hang the join
                 errors.append(exc)
                 return
@@ -198,13 +205,14 @@ def test_pool_saturation_and_tails(tmp_path):
     # engine bit-for-bit (same artifact, deterministic inference).
     probe_docs = _distinct_docs(sources, "probe", 16)
     with ServingEngine(registry.load(name),
-                       ServeConfig(warmup=False)) as engine:
+                       ServeConfig(batch_window_s=0.0)) as engine:
         expected = engine.classify(probe_docs)
+        closed_rps_engine = _closed_loop(engine, _distinct_requests(
+            sources, "ec", N_CLIENTS * CLOSED_PER_CLIENT))
 
     per_replicas = {}
     for n in REPLICA_COUNTS:
-        config = PoolConfig(replicas=n, max_queue=64,
-                            batch_window_s=0.0005, warmup=True)
+        config = PoolConfig(replicas=n, max_queue=64, warmup=True)
         with ReplicaPool.from_registry(registry, name,
                                        config=config) as pool:
             assert pool.classify(probe_docs, timeout=120) == list(expected)
@@ -232,6 +240,7 @@ def test_pool_saturation_and_tails(tmp_path):
         "closed_requests": N_CLIENTS * CLOSED_PER_CLIENT,
         "open_requests": N_OPEN,
         "open_rate_rps": open_r4["rate_rps"],
+        "closed_rps_engine": round(closed_rps_engine, 1),
         "closed_rps_r1": per_replicas["1"]["closed_rps"],
         "closed_rps_r2": per_replicas["2"]["closed_rps"],
         "closed_rps_r4": per_replicas["4"]["closed_rps"],
@@ -247,6 +256,7 @@ def test_pool_saturation_and_tails(tmp_path):
     print()
     print(f"replica pool saturation, {N_CLIENTS} closed-loop clients x "
           f"{CLOSED_PER_CLIENT} reqs + {N_OPEN} open-loop reqs per count")
+    print(f"  lone engine: {closed_rps_engine:7.1f} req/s saturated")
     for n in REPLICA_COUNTS:
         row = per_replicas[str(n)]
         print(f"  {n} replica(s): {row['closed_rps']:7.1f} req/s saturated; "

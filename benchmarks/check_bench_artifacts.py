@@ -55,7 +55,8 @@ SCHEMAS = {
         "present": ["n_requests", "n_clients", "batches", "shed_demo"],
     },
     "serving_pool": {
-        "numeric": ["closed_rps_r1", "closed_rps_r2", "closed_rps_r4",
+        "numeric": ["closed_rps_engine",
+                    "closed_rps_r1", "closed_rps_r2", "closed_rps_r4",
                     "speedup_4v1", "min_speedup",
                     "p50_ms_r4", "p99_ms_r4", "p999_ms_r4"],
         "present": ["replicas", "n_clients", "open_rate_rps",

@@ -53,8 +53,7 @@ def _stage_footer(pipe: Pipeline, report: PipelineReport) -> str:
         f"  dedupe     kept={report.ingested} dropped={report.deduped}",
         f"  store      docs={pipe.store.docs} "
         f"shards={len(pipe.store.shard_files())}",
-        f"  classify   docs={report.classified} model={model} "
-        f"backend={pipe.config.backend}",
+        f"  classify   docs={report.classified} model={model}",
         f"  drift      hist={drift.get('hist_distance', 0.0):.3f} "
         f"oov={drift.get('oov_rate', 0.0):.3f} "
         f"conf={drift.get('conf_decay', 0.0):.3f} refits={report.refits}",
@@ -88,8 +87,6 @@ def _cmd_run(args) -> int:
         store_root=args.store_root,
         registry_root=args.registry_root,
         method=args.method,
-        backend=args.backend,
-        replicas=args.replicas,
         batch_size=args.batch_size,
         checkpoint_every=args.checkpoint_every,
         bootstrap_docs=args.bootstrap_docs,
@@ -111,8 +108,7 @@ def _cmd_status(args) -> int:
     root = Path(args.store_root) if args.store_root else _env.corpus_dir()
     store = CorpusStore(root / args.name)
     status = pipeline_status(store)
-    print(f"[pipeline] {status['name']} "
-          f"(model {status['model_name']}, backend {status['backend']})")
+    print(f"[pipeline] {status['name']} (model {status['model_name']})")
     print(f"  store      docs={status['store_docs']} "
           f"shards={status['shards']} "
           f"predictions={status['predictions']}")
@@ -163,9 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--conf-decay-threshold", type=float, default=None,
                      help="mean-confidence drop that re-fits (default: off)")
     run.add_argument("--method", default="westclass")
-    run.add_argument("--backend", choices=("engine", "pool"),
-                     default="engine")
-    run.add_argument("--replicas", type=int, default=2)
     run.add_argument("--batch-size", type=int, default=32)
     run.add_argument("--checkpoint-every", type=int, default=4)
     run.add_argument("--bootstrap-docs", type=int, default=64)

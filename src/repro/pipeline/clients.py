@@ -1,21 +1,13 @@
-"""Serving-side clients for the online-classification stage.
+"""Serving-side client for the online-classification stage.
 
-Two backends over the same
-``classify(docs) -> [(label, confidence, topk)]`` contract:
+:class:`EngineClient` runs an in-process
+:class:`~repro.serve.engine.ServingEngine` over a registry artifact,
+wrapped in :class:`ScoredServable` so every prediction comes back as a
+``(label, confidence, topk)`` triple. The confidence feeds the drift
+monitor's decay signal.
 
-- :class:`EngineClient` — an in-process
-  :class:`~repro.serve.engine.ServingEngine` over a registry artifact,
-  wrapped in :class:`ScoredServable` so every prediction carries its
-  confidence (the max class probability). This is the default: the
-  confidence feeds the drift monitor's decay signal.
-- :class:`PoolClient` — a multi-process
-  :class:`~repro.serve.pool.ReplicaPool` over the same artifact.
-  Workers return labels only, so confidences and top-k scores come
-  back ``None`` and the decay signal stays silent; histogram distance
-  and OOV rate still work.
-
-Both clients **pin an explicit registry version** — they never resolve
-``latest`` themselves. The orchestrator records the pinned version in
+The client **pins an explicit registry version** — it never resolves
+``latest`` itself. The orchestrator records the pinned version in
 every checkpoint, so a resumed run re-attaches to exactly the model the
 crashed run was serving (a later orphaned publish cannot change resumed
 predictions), and ``reload(version)`` is the one atomic switch point
@@ -29,7 +21,6 @@ import numpy as np
 
 from repro.core.exceptions import PipelineError
 from repro.serve.engine import ServeConfig, ServingEngine
-from repro.serve.pool import PoolConfig, ReplicaPool
 from repro.serve.registry import ModelRegistry
 
 
@@ -83,8 +74,6 @@ class ScoredServable:
 class EngineClient:
     """In-process micro-batching client over a pinned registry version."""
 
-    backend = "engine"
-
     def __init__(self, registry: ModelRegistry, name: str, version: int, *,
                  max_batch_docs: int = 64, warmup: bool = True):
         self.registry = registry
@@ -125,70 +114,3 @@ class EngineClient:
 
     def close(self) -> None:
         self._engine.close()
-
-
-class PoolClient:
-    """Multi-process replica-pool client over a pinned registry version.
-
-    Confidences are not available across the worker boundary, so
-    ``classify`` returns ``(label, None)`` pairs.
-    """
-
-    backend = "pool"
-
-    def __init__(self, registry: ModelRegistry, name: str, version: int, *,
-                 replicas: int = 2, max_batch_docs: int = 64,
-                 warmup: bool = True):
-        self.registry = registry
-        self.name = name
-        self.version = int(version)
-        self._replicas = replicas
-        self._max_batch_docs = max_batch_docs
-        self._warmup = warmup
-        self._pool = self._start(self.version)
-
-    def _start(self, version: int) -> ReplicaPool:
-        try:
-            return ReplicaPool.from_registry(
-                self.registry, self.name, version,
-                config=PoolConfig(replicas=self._replicas,
-                                  max_batch_docs=self._max_batch_docs,
-                                  warmup=self._warmup))
-        except Exception as exc:
-            raise PipelineError(
-                f"cannot start replica pool for "
-                f"{self.name}@v{version:04d}: {exc}"
-            ) from exc
-
-    def classify(self, docs) -> list:
-        try:
-            labels = self._pool.classify([doc.tokens for doc in docs])
-        except Exception as exc:
-            raise PipelineError(
-                f"pool classification through "
-                f"{self.name}@v{self.version:04d} failed: {exc}"
-            ) from exc
-        return [(label, None, None) for label in labels]
-
-    def reload(self, version: int) -> None:
-        """Atomically switch to ``version`` (drains the old pool)."""
-        fresh = self._start(version)
-        old, self._pool, self.version = self._pool, fresh, int(version)
-        old.close()
-
-    def close(self) -> None:
-        self._pool.close()
-
-
-def make_client(backend: str, registry: ModelRegistry, name: str,
-                version: int, *, replicas: int = 2, max_batch_docs: int = 64,
-                warmup: bool = True):
-    """Client factory for the orchestrator (``engine`` or ``pool``)."""
-    if backend == "engine":
-        return EngineClient(registry, name, version,
-                            max_batch_docs=max_batch_docs, warmup=warmup)
-    if backend == "pool":
-        return PoolClient(registry, name, version, replicas=replicas,
-                          max_batch_docs=max_batch_docs, warmup=warmup)
-    raise PipelineError(
-        f"unknown serving backend {backend!r} (use 'engine' or 'pool')")

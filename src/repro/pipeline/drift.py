@@ -8,9 +8,9 @@ Three counters, all cheap enough to update per batch:
 - **OOV rate** — fraction of window tokens outside the training
   vocabulary the current model saw;
 - **confidence decay** — drop of the window's mean prediction
-  confidence below the reference window's mean (engine-backed clients
-  report per-doc confidence; pool clients report labels only, in which
-  case this signal simply stays silent).
+  confidence below the reference window's mean (a model without scores
+  reports no confidence, in which case this signal simply stays
+  silent).
 
 A :class:`DriftMonitor` accumulates per-document observations,
 publishes the current levels as :mod:`repro.obs` gauges

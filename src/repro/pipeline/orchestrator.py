@@ -39,7 +39,7 @@ from pathlib import Path
 from repro import obs
 from repro.core import env as _env
 from repro.core.exceptions import CheckpointError, PipelineError
-from repro.pipeline.clients import make_client
+from repro.pipeline.clients import EngineClient
 from repro.pipeline.drift import DriftMonitor, DriftPolicy
 from repro.pipeline.refit import run_refit
 from repro.pipeline.source import StreamConfig, StreamSource
@@ -71,8 +71,6 @@ class PipelineConfig:
     method / method_kwargs / supervision:
         What to (re)fit: a registered method, its constructor kwargs,
         and the weak-supervision kind (``keywords`` / ``label-names``).
-    backend / replicas:
-        Serving client: in-process ``engine`` or multi-process ``pool``.
     batch_size:
         Stream read size and classification chunk size.
     checkpoint_every:
@@ -101,8 +99,6 @@ class PipelineConfig:
     method: str = "westclass"
     method_kwargs: dict = field(default_factory=dict)
     supervision: str = "keywords"
-    backend: str = "engine"
-    replicas: int = 2
     batch_size: int = 32
     checkpoint_every: int = 4
     bootstrap_docs: int = 64
@@ -142,8 +138,6 @@ class PipelineConfig:
             "method": self.method,
             "method_kwargs": dict(self.method_kwargs),
             "supervision": self.supervision,
-            "backend": self.backend,
-            "replicas": self.replicas,
             "batch_size": self.batch_size,
             "checkpoint_every": self.checkpoint_every,
             "bootstrap_docs": self.bootstrap_docs,
@@ -158,6 +152,18 @@ class PipelineConfig:
 
     @classmethod
     def from_meta(cls, meta: dict, store_root) -> "PipelineConfig":
+        # Streams recorded before the serving client was fixed to the
+        # in-process engine carry "backend"/"replicas"; an engine stream
+        # resumes as before. A pool stream logged no confidences, so the
+        # engine cannot replay its prediction log byte-identically.
+        backend = meta.get("backend", "engine")
+        if backend != "engine":
+            raise PipelineError(
+                f"stream {meta.get('name')!r} was served through the "
+                f"{backend!r} backend, which no longer exists; its "
+                "prediction log cannot be resumed byte-identically on "
+                "the in-process engine"
+            )
         try:
             return cls(
                 stream=StreamConfig.from_state(meta["stream"]),
@@ -168,8 +174,6 @@ class PipelineConfig:
                 method=meta["method"],
                 method_kwargs=dict(meta["method_kwargs"]),
                 supervision=meta["supervision"],
-                backend=meta["backend"],
-                replicas=int(meta["replicas"]),
                 batch_size=int(meta["batch_size"]),
                 checkpoint_every=int(meta["checkpoint_every"]),
                 bootstrap_docs=int(meta["bootstrap_docs"]),
@@ -301,18 +305,18 @@ class Pipeline:
         else:
             self.monitor.after_refit(vocabulary)
         if self._client is None:
-            self._client = make_client(
-                config.backend,
-                self._registry(), config.resolved_model_name, version,
-                replicas=config.replicas,
-                max_batch_docs=config.batch_size,
-                warmup=config.warmup)
+            self._client = self._start_client(version)
         else:
             self._client.reload(version)
 
-    def _registry(self):
+    def _start_client(self, version: int) -> EngineClient:
         from repro.serve.registry import ModelRegistry
-        return ModelRegistry(self.config.resolved_registry_root())
+
+        config = self.config
+        return EngineClient(
+            ModelRegistry(config.resolved_registry_root()),
+            config.resolved_model_name, version,
+            max_batch_docs=config.batch_size, warmup=config.warmup)
 
     def _training_vocabulary(self) -> set:
         vocabulary = set()
@@ -323,14 +327,7 @@ class Pipeline:
     def _attach_client(self) -> None:
         """On resume with a fitted model: pin the checkpointed version."""
         if self._client is None and self.model_version is not None:
-            config = self.config
-            self._client = make_client(
-                config.backend,
-                self._registry(), config.resolved_model_name,
-                self.model_version,
-                replicas=config.replicas,
-                max_batch_docs=config.batch_size,
-                warmup=config.warmup)
+            self._client = self._start_client(self.model_version)
 
     # -- classification ------------------------------------------------------
     def _classify(self, docs: list, started: "float | None" = None,
@@ -467,7 +464,6 @@ def pipeline_status(store: CorpusStore) -> dict:
     status = {
         "name": meta.get("name"),
         "model_name": meta.get("model_name"),
-        "backend": meta.get("backend"),
         "store_docs": store.docs,
         "predictions": store.predictions,
         "shards": len(store.shard_files()),

@@ -136,9 +136,9 @@ class StoreStage:
 class ClassifyStage:
     """Classify the batch through a serving client.
 
-    ``client`` is an :class:`~repro.pipeline.clients.EngineClient` or
-    :class:`~repro.pipeline.clients.PoolClient`; its ``classify`` returns
-    one ``(label, confidence_or_None)`` pair per document.
+    ``client`` is an :class:`~repro.pipeline.clients.EngineClient`; its
+    ``classify`` returns one ``(label, confidence, topk)`` triple per
+    document (confidence and topk are None for a model without scores).
     """
 
     name = "classify"

@@ -25,7 +25,7 @@ shapes the encoder spends 30-60% of its wall clock outside BLAS.
 The packed path is *inference-only*: it never records gradients, never
 stores attention maps, and assumes frozen weights (the same contract as
 the encode cache's content-addressed namespace). The artifact chooses
-it: :func:`repro.plm.io.build_plm` attaches a pack
+it: :func:`repro.plm.io.load_plm` attaches a pack
 (:func:`packed_encoder`) exactly when the archive manifest records a
 ``quantize`` mode, and the engine runs every batch of an encoder that
 carries one through it. Float models keep the Tensor forward. The

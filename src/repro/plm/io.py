@@ -120,20 +120,14 @@ def save_plm(plm: PretrainedLM, path: "str | Path",
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
-def read_plm_arrays(path: "str | Path") -> tuple:
-    """Read an archive's fully-dequantized parameter arrays plus its meta.
+def load_plm(path: "str | Path") -> PretrainedLM:
+    """Rebuild a :class:`PretrainedLM` saved by :func:`save_plm`.
 
-    Returns ``(arrays, meta)`` where ``arrays`` follows the
-    ``Module.parameters()`` order and ``meta`` is the archive's JSON meta
-    with ``dtype`` resolved (pre-dtype-field archives fall back to the
-    stored arrays' dtype — npz preserves it). Quantized archives are
-    dequantized deterministically here, so the returned arrays are always
-    the compute-dtype weights that :func:`build_plm` consumes.
-
-    This is the half of :func:`load_plm` that touches disk; the replica
-    pool calls it once per host, publishes the arrays into shared memory,
-    and workers rebuild encoders over the shared views with
-    :func:`build_plm`.
+    Quantized archives are dequantized deterministically back to the
+    archive's compute dtype (pre-dtype-field archives fall back to the
+    stored arrays' dtype — npz preserves it). Raises
+    :class:`ArtifactError` (naming ``path``) when the archive is corrupt,
+    truncated, or missing expected entries.
     """
     path = Path(path)
     try:
@@ -156,80 +150,29 @@ def read_plm_arrays(path: "str | Path") -> tuple:
         raise ArtifactError(
             f"PLM archive {path} is corrupt or truncated: {exc}"
         ) from exc
-    if not meta.get("dtype"):
-        meta["dtype"] = str(arrays[0].dtype) if arrays else "float32"
-    return arrays, meta
-
-
-def build_plm(arrays: list, meta: dict, *, copy: bool = True) -> PretrainedLM:
-    """Rebuild a :class:`PretrainedLM` from :func:`read_plm_arrays` output.
-
-    With ``copy=True`` (the default) the arrays flow through
-    ``Module.load_state_dict``, which casts into freshly-owned parameter
-    buffers. With ``copy=False`` the parameter ``data`` is *aliased* to
-    the given arrays — zero-copy, which is what lets N pool replicas map
-    one shared-memory weight set — so each array must already match the
-    parameter's shape and the archive dtype exactly (read-only views are
-    fine: inference never writes weights).
-    """
+    dtype = meta.get("dtype") or (str(arrays[0].dtype) if arrays
+                                  else "float32")
     config = PLMConfig(**meta["config"])
     n_specials = len(Vocabulary().specials)
     vocab = Vocabulary()
     for token, count in zip(meta["tokens"][n_specials:],
                             meta["counts"][n_specials:]):
         vocab.add(token, count=int(count))
-    dtype = meta.get("dtype") or "float32"
     rng = np.random.default_rng(0)  # weights are overwritten below
     try:
         with default_dtype(dtype):
             encoder = TransformerEncoder(vocab, config, rng)
-            if copy:
-                encoder.load_state_dict(arrays)
-            else:
-                params = encoder.parameters()
-                if len(arrays) != len(params):
-                    raise ValueError(
-                        f"expected {len(params)} parameter arrays, "
-                        f"got {len(arrays)}"
-                    )
-                for param, array in zip(params, arrays):
-                    if param.data.shape != array.shape:
-                        raise ValueError(
-                            f"shape mismatch: parameter {param.data.shape} "
-                            f"vs array {array.shape}"
-                        )
-                    if param.data.dtype != array.dtype:
-                        raise ValueError(
-                            f"dtype mismatch: parameter {param.data.dtype} "
-                            f"vs array {array.dtype}"
-                        )
-                    param.data = array
+            encoder.load_state_dict(arrays)
     except ValueError as exc:
         raise ArtifactError(
-            f"PLM state does not match its manifest: {exc}"
+            f"PLM archive {path} does not match its manifest: {exc}"
         ) from exc
     # The encode cache is content-addressed (weights digest), so a model
     # round-tripped through disk shares cached encodings with its source.
     from repro.plm.provider import shared_encode_cache
 
-    if meta.get("quantize") is not None:
+    if quantize is not None:
         # Quantized archives are predict-only and already non-bit-exact
         # with the trainer, so they run the packed forward.
         packed_encoder(encoder)
     return PretrainedLM(encoder, enc_cache=shared_encode_cache())
-
-
-def load_plm(path: "str | Path") -> PretrainedLM:
-    """Rebuild a :class:`PretrainedLM` saved by :func:`save_plm`.
-
-    Raises :class:`ArtifactError` (naming ``path``) when the archive is
-    corrupt, truncated, or missing expected entries.
-    """
-    path = Path(path)
-    arrays, meta = read_plm_arrays(path)
-    try:
-        return build_plm(arrays, meta)
-    except ArtifactError as exc:
-        raise ArtifactError(
-            f"PLM archive {path} does not match its manifest: {exc.__cause__}"
-        ) from exc

@@ -14,8 +14,8 @@ pipelines can be persisted, named, and served:
   coalesces concurrent classify requests into the PLM engine's batched
   encode path, with deadlines and load-shedding backpressure;
 - :mod:`repro.serve.pool` — a multi-process replica pool: N worker
-  engines over one shared-memory weight set (:mod:`repro.serve.shm`),
-  least-loaded dispatch, typed cross-process error propagation;
+  processes, each a plain predict loop over the artifact, behind
+  least-loaded dispatch, with typed cross-process error propagation;
 - :mod:`repro.serve.http` — the stdlib JSON/HTTP front door over a pool
   (``/classify`` with 429/504 backpressure codes, ``/healthz``,
   ``/stats``).
@@ -33,9 +33,8 @@ from repro.serve.artifacts import (
 )
 from repro.serve.engine import ServeConfig, ServingEngine
 from repro.serve.http import PoolServer
-from repro.serve.pool import PoolConfig, PoolRequest, ReplicaPool
+from repro.serve.pool import PoolConfig, ReplicaPool
 from repro.serve.registry import ModelRegistry
-from repro.serve.shm import SharedArrays, attach_arrays, publish_arrays
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -48,10 +47,6 @@ __all__ = [
     "ServeConfig",
     "ServingEngine",
     "PoolConfig",
-    "PoolRequest",
     "PoolServer",
     "ReplicaPool",
-    "SharedArrays",
-    "attach_arrays",
-    "publish_arrays",
 ]

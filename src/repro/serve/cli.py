@@ -179,8 +179,8 @@ def _cmd_pool(args) -> int:
     try:
         host, port = server.address
         print(f"listening on http://{host}:{port} "
-              f"({name}@v{resolved:04d}, {args.replicas} replica(s), "
-              f"segments: {len(pool.shm_segments())})", flush=True)
+              f"({name}@v{resolved:04d}, {args.replicas} replica(s))",
+              flush=True)
         if args.port_file:
             Path(args.port_file).write_text(f"{host} {port}\n")
         try:
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     pool.add_argument("--max-queue", type=int, default=32,
                       help="per-replica in-flight bound before 429s")
     pool.add_argument("--batch", type=int, default=64,
-                      help="per-replica micro-batch document budget")
+                      help="per-replica predict document budget")
     pool.add_argument("--deadline", type=float, default=None,
                       help="default per-request deadline in seconds")
     pool.add_argument("--max-seconds", type=float, default=None,

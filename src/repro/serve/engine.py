@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from repro import obs
@@ -68,9 +68,14 @@ class ServeConfig:
 
 
 class Request:
-    """One in-flight classify request (a minimal future)."""
+    """One in-flight classify request (a minimal future).
 
-    __slots__ = ("docs", "deadline", "result", "error", "_done")
+    ``deadline`` is an absolute ``time.monotonic()`` instant (None = no
+    deadline). The engine and the replica pool both hand these out.
+    """
+
+    __slots__ = ("docs", "deadline", "result", "error", "_done",
+                 "created_at", "done_at")
 
     def __init__(self, docs: list, deadline: "float | None"):
         self.docs = docs
@@ -78,27 +83,90 @@ class Request:
         self.result: "list | None" = None
         self.error: "Exception | None" = None
         self._done = threading.Event()
+        self.created_at = time.monotonic()
+        self.done_at: "float | None" = None
 
     def resolve(self, result: list) -> None:
+        self.done_at = time.monotonic()
         self.result = result
         self._done.set()
 
     def fail(self, error: Exception) -> None:
+        self.done_at = time.monotonic()
         self.error = error
         self._done.set()
 
     def done(self) -> bool:
         return self._done.is_set()
 
+    @property
+    def latency_s(self) -> "float | None":
+        """Submit-to-completion wall clock (None while pending)."""
+        if self.done_at is None:
+            return None
+        return self.done_at - self.created_at
+
     def wait(self, timeout: "float | None" = None) -> list:
         """Block for the result; re-raises the failure if the request died."""
         if not self._done.wait(timeout):
             raise TimeoutError("request still pending after "
-                               f"{timeout}s (engine overloaded or closed?)")
+                               f"{timeout}s (server overloaded or closed?)")
         if self.error is not None:
             raise self.error
         assert self.result is not None
         return self.result
+
+
+def serve_batch(model, batch: "list[Request]",
+                stats: "dict | None" = None) -> None:
+    """Answer one coalesced batch of requests.
+
+    Requests whose deadline has passed fail with
+    :class:`~repro.core.exceptions.DeadlineExceeded` and never reach the
+    model; the rest run as one ``model.predict`` over their concatenated
+    documents, and the predictions are split back per request in order.
+    A predict that raises fails every live request with that exception.
+    ``stats`` (``deadline_miss`` / ``errors`` / ``batches`` /
+    ``batched_docs`` / ``served`` counts) is updated before any request
+    settles, so a woken caller reads current numbers. The engine's
+    batcher and each replica-pool worker both call this.
+    """
+    if stats is None:
+        stats = Counter()
+    now = time.monotonic()
+    live = []
+    for request in batch:
+        if request.deadline is not None and now > request.deadline:
+            stats["deadline_miss"] += 1
+            obs.count("serve.deadline_miss")
+            request.fail(DeadlineExceeded(
+                f"deadline passed {now - request.deadline:.3f}s before "
+                "the request was batched"
+            ))
+        else:
+            live.append(request)
+    if not live:
+        return
+    all_docs = [doc for request in live for doc in request.docs]
+    with obs.span("serve:batch", requests=len(live), docs=len(all_docs)):
+        try:
+            with obs.span("serve:predict"):
+                results = model.predict(all_docs)
+        except Exception as exc:  # fail the whole batch, keep serving
+            stats["errors"] += len(live)
+            obs.count("serve.errors", len(live))
+            for request in live:
+                request.fail(exc)
+            return
+    stats["batches"] += 1
+    stats["batched_docs"] += len(all_docs)
+    stats["served"] += len(live)
+    obs.count("serve.batches")
+    obs.count("serve.batched_docs", len(all_docs))
+    offset = 0
+    for request in live:
+        request.resolve(list(results[offset:offset + len(request.docs)]))
+        offset += len(request.docs)
 
 
 class ServingEngine:
@@ -203,43 +271,7 @@ class ServingEngine:
                 for request in batch:
                     request.fail(ServingError("serving engine shut down"))
                 continue
-            self._process(batch)
-
-    def _process(self, batch: "list[Request]") -> None:
-        now = time.monotonic()
-        live = []
-        for request in batch:
-            if request.deadline is not None and now > request.deadline:
-                self._stats["deadline_miss"] += 1
-                obs.count("serve.deadline_miss")
-                request.fail(DeadlineExceeded(
-                    f"deadline passed {now - request.deadline:.3f}s before "
-                    "the request was batched"
-                ))
-            else:
-                live.append(request)
-        if not live:
-            return
-        all_docs = [doc for request in live for doc in request.docs]
-        with obs.span("serve:batch", requests=len(live), docs=len(all_docs)):
-            try:
-                with obs.span("serve:predict"):
-                    results = self.model.predict(all_docs)
-            except Exception as exc:  # fail the whole batch, keep serving
-                self._stats["errors"] += len(live)
-                obs.count("serve.errors", len(live))
-                for request in live:
-                    request.fail(exc)
-                return
-        self._stats["batches"] += 1
-        self._stats["batched_docs"] += len(all_docs)
-        self._stats["served"] += len(live)
-        obs.count("serve.batches")
-        obs.count("serve.batched_docs", len(all_docs))
-        offset = 0
-        for request in live:
-            request.resolve(list(results[offset:offset + len(request.docs)]))
-            offset += len(request.docs)
+            serve_batch(self.model, batch, self._stats)
 
     # -- lifecycle -----------------------------------------------------------
     def stats(self) -> dict:

@@ -8,26 +8,31 @@ serving layer:
 endpoint    body                                         status
 ==========  ===========================================  ==============
 POST
-/classify   ``{"docs": [...], "deadline_s": 0.5?}`` →    200 ``{"labels": [...]}``
-            malformed JSON / missing docs                400 ``{"error": "bad-request"}``
+/classify   ``{"docs": [...], "deadline_s": 0.5?,``      200 ``{"labels": [...]}``
+            ``"timeout_s": 5?}`` →
+            malformed JSON / missing docs / a limit      400 ``{"error": "bad-request"}``
+            that is not a finite non-negative number
             pool sheds (every replica full)              429 ``{"error": "overloaded"}`` (+ ``Retry-After``)
             deadline passed before serving               504 ``{"error": "deadline-exceeded"}``
             pool closed / every replica dead             503 ``{"error": "unavailable"}``
             model raised                                 500 ``{"error": "internal"}``
 GET
 /healthz    ``{"status": "ok", "alive": N}``             200 (503 once unservable)
-GET /stats  pool counters + per-replica engine stats     200
+GET /stats  pool counters + per-replica counters         200
 ==========  ===========================================  ==============
 
 ``docs`` entries are raw strings or token lists (same payloads
-``ServingEngine`` takes). Each connection is handled on its own thread;
-concurrency then flows through the pool's least-loaded dispatch, so the
-HTTP layer adds no queueing of its own.
+``ServingEngine`` takes). ``deadline_s`` bounds the time until a replica
+starts the request's predict; ``timeout_s`` bounds how long the handler
+waits for the answer (503 when it runs out). Each connection is handled
+on its own thread; concurrency then flows through the pool's
+least-loaded dispatch, so the HTTP layer adds no queueing of its own.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -41,6 +46,25 @@ from repro.core.exceptions import (
 #: Bound accepted request bodies (64 MiB): the front door should shed
 #: absurd payloads before json-decoding them into memory.
 MAX_BODY_BYTES = 64 << 20
+
+
+def _seconds(value) -> "float | None":
+    """``value`` as finite, non-negative seconds (None passes through).
+
+    Raises ValueError for anything else, booleans included: JSON
+    ``true`` decodes to ``True``, which Python counts as the int 1.
+    """
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("must be a number")
+    try:
+        seconds = float(value)
+    except OverflowError:
+        seconds = math.inf
+    if not 0.0 <= seconds < math.inf:
+        raise ValueError("must be finite and non-negative")
+    return seconds
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -75,7 +99,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._reply(503, {"status": "unavailable", "alive": 0})
         elif self.path == "/stats":
-            self._reply(200, pool.stats(refresh=True))
+            self._reply(200, pool.stats())
         else:
             self._reply(404, {"error": "not-found", "path": self.path})
 
@@ -103,16 +127,18 @@ class _Handler(BaseHTTPRequestHandler):
                               "detail": "body must be an object with a "
                                         "non-empty 'docs' array"})
             return
-        deadline_s = payload.get("deadline_s")
-        if deadline_s is not None and not isinstance(deadline_s,
-                                                     (int, float)):
-            self._reply(400, {"error": "bad-request",
-                              "detail": "'deadline_s' must be a number"})
-            return
+        limits = {}
+        for key in ("deadline_s", "timeout_s"):
+            try:
+                limits[key] = _seconds(payload.get(key))
+            except ValueError as exc:
+                self._reply(400, {"error": "bad-request",
+                                  "detail": f"{key!r} {exc}"})
+                return
         try:
             labels = self.server.pool.classify(
-                payload["docs"], deadline_s=deadline_s,
-                timeout=payload.get("timeout_s"))
+                payload["docs"], deadline_s=limits["deadline_s"],
+                timeout=limits["timeout_s"])
         except Overloaded as exc:
             self._reply(429, {"error": "overloaded", "detail": str(exc)},
                         headers={"Retry-After": "1"})

@@ -1,47 +1,50 @@
-"""Multi-process replica pool over shared-memory PLM weights.
+"""Multi-process replica pool: N worker processes, each a plain predict loop.
 
 The single-process :class:`~repro.serve.engine.ServingEngine` tops out
 at one core: its batcher thread serializes every predict. The pool
-scales that out by running N worker *processes*, each with its own
-micro-batching engine over the same registry artifact, behind a
-least-loaded dispatcher in the parent:
+scales that out by running N worker *processes* over the same artifact,
+behind a least-loaded dispatcher in the parent:
 
-- the parent reads each PLM archive **once**
-  (:func:`repro.plm.io.read_plm_arrays`), publishes the weight arrays
-  into shared memory (:mod:`repro.serve.shm`), and spawns workers that
-  rebuild their encoders as zero-copy views over the shared buffers
-  (:func:`repro.plm.io.build_plm` with ``copy=False``) — N replicas
-  cost one weight-set of RAM;
+- each worker loads the artifact itself (the parent digest-verifies it
+  once) and runs one loop on its main thread: receive a request, drain
+  whatever else is already waiting in the pipe (up to
+  ``max_batch_docs``, with no timer), fail the requests whose deadline
+  has passed, run one ``predict`` over the rest, and reply per request.
+  Batches form from backlog only, so a lone request never waits out a
+  batch window;
 - requests go to the live replica with the fewest in-flight requests;
   when every replica is at ``max_queue`` the submit sheds with
   :class:`~repro.core.exceptions.Overloaded` (same backpressure
   contract as the single engine, enforced at admission);
+- deadlines are absolute ``time.monotonic()`` instants fixed at submit
+  (the clock is system-wide, so workers compare against it directly):
+  time spent waiting in the pipe counts;
 - worker-raised errors travel back *typed*: ``Overloaded``,
   ``DeadlineExceeded``, and friends re-raise as themselves in the
   caller; a crashed worker fails its in-flight requests with
   :class:`~repro.core.exceptions.ServingError` and is removed from
   rotation (remaining replicas keep serving);
-- shutdown drains every worker engine (each request resolves exactly
-  once), then closes + unlinks the shared segments — the unlink runs in
-  a ``finally``, so even a worker crash leaves no ``/dev/shm`` litter.
+- shutdown sends each worker a ``shutdown`` message behind the requests
+  already in its pipe, so every request resolves exactly once.
 
-Dispatch preserves the single-engine result contract: each worker's
-engine batches FIFO and predictions are order-aligned per request, so a
-pool ``classify`` returns bit-identical labels to a lone
-``ServingEngine`` over the same artifact.
+A worker answers each batch with the engine's own batch rule
+(:func:`~repro.serve.engine.serve_batch`: deadline check, one predict,
+split back per request in order), so a pool ``classify`` returns
+bit-identical labels to a lone ``ServingEngine`` over the same
+artifact.
 
 Instrumentation (:mod:`repro.obs`): parent-side ``pool.requests`` /
 ``pool.shed`` / ``pool.replica_deaths`` counters and a
-``pool.replica_busy`` high-water gauge; worker tracers export through
-the PR 4 worker boundary and are absorbed under ``pool/replica<i>`` at
-close, so one trace shows every replica's ``serve:*`` spans.
+``pool.replica_busy`` high-water gauge; workers record ``serve:batch`` /
+``serve:predict`` spans and ``serve.batches`` / ``serve.batched_docs``
+counters, export their tracer at shutdown, and the parent absorbs it
+under ``pool/replica<i>`` at close.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -55,16 +58,8 @@ from repro.core.exceptions import (
     Overloaded,
     ServingError,
 )
-from repro.plm.io import build_plm, read_plm_arrays
-from repro.serve.artifacts import (
-    STATE,
-    ServableModel,
-    _ImportUnpickler,
-    read_manifest,
-    verify_artifact,
-)
-from repro.serve.engine import ServeConfig, ServingEngine
-from repro.serve.shm import attach_arrays, publish_arrays
+from repro.serve.artifacts import load_artifact, read_manifest, verify_artifact
+from repro.serve.engine import Request, serve_batch
 
 
 @dataclass(frozen=True)
@@ -78,11 +73,15 @@ class PoolConfig:
     max_queue:
         Per-replica in-flight bound enforced at admission; when every
         live replica is full, submits shed with ``Overloaded``.
-    max_batch_docs / batch_window_s / default_deadline_s / warmup:
-        Passed through to each worker's :class:`ServeConfig`.
+    max_batch_docs:
+        Document budget of one worker ``predict``.
+    default_deadline_s:
+        Deadline applied to requests that don't set one (None = none).
+    warmup:
+        Each worker runs one throwaway predict before reporting ready.
     verify:
-        Digest-verify the artifact once in the parent before publishing
-        weights (workers trust the parent's check).
+        Digest-verify the artifact once in the parent before spawning
+        (workers trust the parent's check).
     start_timeout_s:
         How long to wait for every replica to load + warm up.
     """
@@ -90,55 +89,10 @@ class PoolConfig:
     replicas: int = 2
     max_queue: int = 32
     max_batch_docs: int = 64
-    batch_window_s: float = 0.002
     default_deadline_s: "float | None" = None
     warmup: bool = True
     verify: bool = True
     start_timeout_s: float = 120.0
-
-
-class PoolRequest:
-    """One in-flight pool request (a minimal cross-process future)."""
-
-    __slots__ = ("docs", "result", "error", "_done", "created_at", "done_at")
-
-    def __init__(self, docs: list):
-        self.docs = docs
-        self.result: "list | None" = None
-        self.error: "Exception | None" = None
-        self._done = threading.Event()
-        self.created_at = time.monotonic()
-        self.done_at: "float | None" = None
-
-    def resolve(self, result: list) -> None:
-        self.done_at = time.monotonic()
-        self.result = result
-        self._done.set()
-
-    def fail(self, error: Exception) -> None:
-        self.done_at = time.monotonic()
-        self.error = error
-        self._done.set()
-
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    @property
-    def latency_s(self) -> "float | None":
-        """Submit-to-completion wall clock (None while pending)."""
-        if self.done_at is None:
-            return None
-        return self.done_at - self.created_at
-
-    def wait(self, timeout: "float | None" = None) -> list:
-        """Block for the result; re-raises the failure if the request died."""
-        if not self._done.wait(timeout):
-            raise TimeoutError("pool request still pending after "
-                               f"{timeout}s (pool overloaded or closed?)")
-        if self.error is not None:
-            raise self.error
-        assert self.result is not None
-        return self.result
 
 
 class _Replica:
@@ -146,20 +100,21 @@ class _Replica:
 
     __slots__ = ("index", "process", "conn", "send_lock", "in_flight",
                  "alive", "ready", "fatal", "receiver", "trace_payload",
-                 "final_stats")
+                 "dispatched", "completed")
 
     def __init__(self, index: int, process, conn):
         self.index = index
         self.process = process
         self.conn = conn
         self.send_lock = threading.Lock()
-        self.in_flight: "dict[int, PoolRequest]" = {}
+        self.in_flight: "dict[int, Request]" = {}
         self.alive = True
         self.ready = threading.Event()
         self.fatal: "Exception | None" = None
         self.receiver: "threading.Thread | None" = None
         self.trace_payload: "dict | None" = None
-        self.final_stats: "dict | None" = None
+        self.dispatched = 0
+        self.completed = 0
 
     def send(self, msg: tuple) -> None:
         with self.send_lock:
@@ -170,7 +125,7 @@ def _rebuild_error(kind: str, message: str) -> Exception:
     """Reconstruct a worker-raised exception from its (type name, str).
 
     Typed serving/artifact errors round-trip as themselves so callers
-    keep one ``except Overloaded`` path for local and pooled engines;
+    keep one ``except Overloaded`` path for a local engine and a pool;
     unknown types degrade to ``ServingError`` with the original name in
     the message.
     """
@@ -188,29 +143,37 @@ def _rebuild_error(kind: str, message: str) -> Exception:
     return ServingError(f"{kind}: {message}")
 
 
-def _pool_worker_main(replica_id: int, artifact_dir: str, shm_payloads: list,
-                      manifest: dict, serve_kwargs: dict, trace: bool,
-                      conn) -> None:
+def _answer(servable, batch: list, conn) -> None:
+    """Serve drained ``("req", id, docs, deadline)`` messages as one batch
+    and send one ``("ok"|"err", id, ...)`` reply per request."""
+    requests = [Request(docs, deadline) for _, _, docs, deadline in batch]
+    serve_batch(servable, requests)
+    for (_, req_id, _, _), request in zip(batch, requests):
+        if request.error is None:
+            conn.send(("ok", req_id, request.result))
+        else:
+            conn.send(("err", req_id, type(request.error).__name__,
+                       str(request.error)))
+
+
+def _pool_worker_main(replica_id: int, artifact_dir: str, max_batch_docs: int,
+                      warmup: bool, trace: bool, conn) -> None:
     """Worker entry point (spawn target; must stay module-level).
 
-    Attaches the shared weight segments, rebuilds the servable model
-    zero-copy, runs a private :class:`ServingEngine`, and speaks the
-    pipe protocol: ``("req", id, docs, deadline)`` in; ``("ok"|"err",
-    id, ...)`` out, answered FIFO by a responder thread (valid because
-    the single batcher serves FIFO). Shutdown drains the engine, ships
-    the worker trace, and exits.
+    Loads the artifact, then loops on the main thread: block for one
+    ``("req", id, docs, deadline)`` message, drain what else is already
+    in the pipe up to ``max_batch_docs``, and answer the batch with one
+    ``("ok"|"err", id, ...)`` per request. A ``("shutdown",)`` message
+    (or a closed pipe) ends the loop once the batch in hand is answered;
+    the worker then ships its trace and exits.
     """
     try:
         if trace:
             obs.enable(f"replica{replica_id}")
-        plms = []
-        for item in shm_payloads:
-            handle = attach_arrays(item["spec"])
-            plms.append(build_plm(handle.arrays, item["meta"], copy=False))
-        with open(Path(artifact_dir) / STATE, "rb") as fh:
-            model = _ImportUnpickler(fh, plms).load()
-        servable = ServableModel(model, manifest, path=Path(artifact_dir))
-        engine = ServingEngine(servable, ServeConfig(**serve_kwargs))
+        servable = load_artifact(artifact_dir, verify=False)
+        if warmup:
+            servable.warmup()
+        conn.send(("ready", os.getpid()))
     except BaseException as exc:
         try:
             conn.send(("fatal", type(exc).__name__, str(exc)))
@@ -218,70 +181,41 @@ def _pool_worker_main(replica_id: int, artifact_dir: str, shm_payloads: list,
             pass
         return
 
-    send_lock = threading.Lock()
-    out_q: "queue.SimpleQueue" = queue.SimpleQueue()
-
-    def _respond() -> None:
-        while True:
-            item = out_q.get()
-            if item is None:
-                return
-            req_id, request = item
-            try:
-                result = request.wait()
-            except Exception as exc:
-                with send_lock:
-                    conn.send(("err", req_id, type(exc).__name__, str(exc)))
-            else:
-                with send_lock:
-                    conn.send(("ok", req_id, result))
-
-    responder = threading.Thread(target=_respond, daemon=True,
-                                 name=f"repro-pool-respond-{replica_id}")
-    responder.start()
-    with send_lock:
-        conn.send(("ready", os.getpid()))
+    held = None  # a drained request that would have overflowed its batch
+    stop = False
     try:
-        while True:
-            try:
+        while not stop:
+            msg = held if held is not None else conn.recv()
+            held = None
+            if msg[0] != "req":
+                break
+            batch, n_docs = [msg], len(msg[2])
+            while n_docs < max_batch_docs and conn.poll():
                 msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            kind = msg[0]
-            if kind == "req":
-                _, req_id, docs, deadline_s = msg
-                try:
-                    request = engine.submit(docs, deadline_s=deadline_s)
-                except Exception as exc:
-                    with send_lock:
-                        conn.send(("err", req_id,
-                                   type(exc).__name__, str(exc)))
-                else:
-                    out_q.put((req_id, request))
-            elif kind == "stats":
-                with send_lock:
-                    conn.send(("stats_ok", msg[1], engine.stats()))
-            elif kind == "shutdown":
-                break
+                if msg[0] != "req":
+                    stop = True
+                    break
+                if n_docs + len(msg[2]) > max_batch_docs:
+                    held = msg
+                    break
+                batch.append(msg)
+                n_docs += len(msg[2])
+            _answer(servable, batch, conn)
+    except (EOFError, OSError):
+        pass
     finally:
-        engine.close(drain=True)
-        out_q.put(None)
-        responder.join(30)
         if trace:
             tracer = obs.disable()
             if tracer is not None:
-                with send_lock:
+                try:
                     conn.send(("trace", tracer.export()))
-        try:
-            with send_lock:
-                conn.send(("closed", engine.stats()))
-        except OSError:
-            pass
+                except OSError:
+                    pass
         conn.close()
 
 
 class ReplicaPool:
-    """N worker processes serving one artifact over shared weights.
+    """N worker processes serving one artifact.
 
     ``artifact`` is an artifact directory (as produced by
     :func:`~repro.serve.artifacts.export_artifact` or a registry version
@@ -306,33 +240,15 @@ class ReplicaPool:
         self._stats = {"dispatched": 0, "completed": 0, "failed": 0,
                        "shed": 0, "deadline_miss": 0, "replica_deaths": 0,
                        "replica_busy_max": 0}
-        self._shared = []
         self._replicas: "list[_Replica]" = []
         try:
-            shm_payloads = []
-            for name in self.manifest.get("plms", []):
-                arrays, meta = read_plm_arrays(self.path / name)
-                handle = publish_arrays(arrays, label=Path(name).stem)
-                self._shared.append(handle)
-                shm_payloads.append({"spec": handle.spec, "meta": meta})
-                del arrays  # the segment holds the only copy now
-            serve_kwargs = {
-                "max_batch_docs": self.config.max_batch_docs,
-                # Workers never shed on their own: the parent's
-                # admission bound is the contract, so give the worker
-                # queue headroom over it.
-                "max_queue": max(8, 2 * self.config.max_queue),
-                "batch_window_s": self.config.batch_window_s,
-                "default_deadline_s": self.config.default_deadline_s,
-                "warmup": self.config.warmup,
-            }
             ctx = get_context("spawn")
             for i in range(self.config.replicas):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 process = ctx.Process(
                     target=_pool_worker_main,
-                    args=(i, str(self.path), shm_payloads, self.manifest,
-                          serve_kwargs, self._trace, child_conn),
+                    args=(i, str(self.path), self.config.max_batch_docs,
+                          self.config.warmup, self._trace, child_conn),
                     daemon=True,
                     name=f"repro-pool-replica-{i}",
                 )
@@ -385,7 +301,7 @@ class ReplicaPool:
             except (EOFError, OSError):
                 break
             kind = msg[0]
-            if kind == "ok" or kind == "stats_ok":
+            if kind == "ok":
                 self._complete(replica, msg[1], result=msg[2])
             elif kind == "err":
                 self._complete(replica, msg[1],
@@ -397,8 +313,6 @@ class ReplicaPool:
                 replica.ready.set()
             elif kind == "trace":
                 replica.trace_payload = msg[1]
-            elif kind == "closed":
-                replica.final_stats = msg[1]
         with self._lock:
             was_alive = replica.alive
             replica.alive = False
@@ -427,6 +341,7 @@ class ReplicaPool:
                 return
             if error is None:
                 self._stats["completed"] += 1
+                replica.completed += 1
             else:
                 self._stats["failed"] += 1
                 if isinstance(error, DeadlineExceeded):
@@ -437,7 +352,7 @@ class ReplicaPool:
             request.fail(error)
 
     # -- intake --------------------------------------------------------------
-    def submit(self, docs, deadline_s: "float | None" = None) -> PoolRequest:
+    def submit(self, docs, deadline_s: "float | None" = None) -> Request:
         """Dispatch ``docs`` to the least-loaded live replica.
 
         Raises :class:`Overloaded` when every live replica already holds
@@ -445,7 +360,10 @@ class ReplicaPool:
         pool is closed or every replica has died.
         """
         docs = list(docs)
-        request = PoolRequest(docs)
+        if deadline_s is None:
+            deadline_s = self.config.default_deadline_s
+        request = Request(docs, None if deadline_s is None
+                          else time.monotonic() + deadline_s)
         with self._lock:
             if self._closed:
                 raise ServingError("replica pool is closed")
@@ -465,6 +383,7 @@ class ReplicaPool:
                 )
             req_id = next(self._ids)
             replica.in_flight[req_id] = request
+            replica.dispatched += 1
             self._stats["dispatched"] += 1
             busy = sum(1 for r in self._replicas if r.in_flight)
             if busy > self._stats["replica_busy_max"]:
@@ -472,7 +391,7 @@ class ReplicaPool:
         obs.count("pool.requests")
         obs.gauge("pool.replica_busy", busy)
         try:
-            replica.send(("req", req_id, docs, deadline_s))
+            replica.send(("req", req_id, docs, request.deadline))
         except (OSError, ValueError) as exc:
             self._complete(replica, req_id, error=ServingError(
                 f"replica {replica.index} pipe broke: {exc}"))
@@ -493,17 +412,8 @@ class ReplicaPool:
         with self._lock:
             return sum(1 for r in self._replicas if r.alive)
 
-    def shm_segments(self) -> list:
-        """Names of the shared-memory segments this pool owns."""
-        return [handle.name for handle in self._shared]
-
-    def stats(self, refresh: bool = False) -> dict:
-        """Pool counters + per-replica snapshot.
-
-        With ``refresh``, also asks every live replica for its engine
-        stats (``engines`` key), so ``/stats`` can show worker-side
-        batching counters.
-        """
+    def stats(self) -> dict:
+        """Pool counters + per-replica ``dispatched`` / ``completed``."""
         with self._lock:
             snapshot = dict(self._stats)
             snapshot["replicas"] = len(self._replicas)
@@ -512,79 +422,51 @@ class ReplicaPool:
                                         for r in self._replicas)
             snapshot["per_replica"] = [
                 {"replica": r.index, "alive": r.alive,
-                 "in_flight": len(r.in_flight), "pid": r.process.pid}
+                 "in_flight": len(r.in_flight), "pid": r.process.pid,
+                 "dispatched": r.dispatched, "completed": r.completed}
                 for r in self._replicas
             ]
-            closed = self._closed
-            live = [] if closed else [r for r in self._replicas if r.alive]
-        if refresh and live:
-            probes = []
-            with self._lock:
-                for replica in live:
-                    req_id = next(self._ids)
-                    probe = PoolRequest([])
-                    replica.in_flight[req_id] = probe
-                    probes.append((replica, req_id, probe))
-            engines = []
-            for replica, req_id, probe in probes:
-                try:
-                    replica.send(("stats", req_id))
-                    engines.append({"replica": replica.index,
-                                    **probe.wait(5.0)})
-                except Exception as exc:
-                    engines.append({"replica": replica.index,
-                                    "error": str(exc)})
-            snapshot["engines"] = engines
         return snapshot
 
     # -- lifecycle -----------------------------------------------------------
     def close(self, timeout: float = 30.0) -> None:
-        """Drain and stop every replica, then unlink the shared weights.
+        """Answer what each replica holds, then stop every replica.
 
-        Safe to call twice and after worker crashes; the segment unlink
-        runs unconditionally, so ``/dev/shm`` is clean as long as the
-        parent reaches this method (an ``atexit`` sweep in
-        :mod:`repro.serve.shm` backstops parents that never do).
+        Safe to call twice and after worker crashes.
         """
         with self._lock:
             already = self._closed
             self._closed = True
             replicas = list(self._replicas)
-        if already and not self._shared and not replicas:
+        if already:
             return
-        try:
-            for replica in replicas:
-                if replica.alive:
-                    try:
-                        replica.send(("shutdown",))
-                    except (OSError, ValueError):
-                        pass
-            deadline = time.monotonic() + timeout
-            for replica in replicas:
-                remaining = max(0.1, deadline - time.monotonic())
-                replica.process.join(remaining)
-                if replica.process.is_alive():
-                    replica.process.terminate()
-                    replica.process.join(5.0)
-            for replica in replicas:
+        for replica in replicas:
+            if replica.alive:
                 try:
-                    replica.conn.close()
-                except OSError:
+                    replica.send(("shutdown",))
+                except (OSError, ValueError):
                     pass
-                if replica.receiver is not None:
-                    replica.receiver.join(5.0)
-            if self._trace and obs.enabled():
-                tracer = obs.tracer()
-                for replica in replicas:
-                    if replica.trace_payload is not None:
-                        tracer.absorb(replica.trace_payload,
-                                      prefix=f"pool/replica{replica.index}")
-                        replica.trace_payload = None
-        finally:
-            for handle in self._shared:
-                handle.close()
-            self._shared = []
-            self._replicas = []
+        deadline = time.monotonic() + timeout
+        for replica in replicas:
+            remaining = max(0.1, deadline - time.monotonic())
+            replica.process.join(remaining)
+            if replica.process.is_alive():
+                replica.process.terminate()
+                replica.process.join(5.0)
+        for replica in replicas:
+            try:
+                replica.conn.close()
+            except OSError:
+                pass
+            if replica.receiver is not None:
+                replica.receiver.join(5.0)
+        if self._trace and obs.enabled():
+            tracer = obs.tracer()
+            for replica in replicas:
+                if replica.trace_payload is not None:
+                    tracer.absorb(replica.trace_payload,
+                                  prefix=f"pool/replica{replica.index}")
+                    replica.trace_payload = None
         # Anything still unresolved after the drain window (crashed or
         # wedged worker) must not hang its waiter forever.
         for replica in replicas:

@@ -330,6 +330,7 @@ def test_serving_pool_artifact_is_registered(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cba, "HERE", tmp_path)
     payload = {
+        "closed_rps_engine": 750.0,
         "closed_rps_r1": 700.0, "closed_rps_r2": 1200.0,
         "closed_rps_r4": 1400.0, "speedup_4v1": 2.0, "min_speedup": 1.8,
         "p50_ms_r4": 2.0, "p99_ms_r4": 6.0, "p999_ms_r4": 11.0,

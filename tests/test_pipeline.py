@@ -4,7 +4,7 @@ The acceptance contract of the ingestion subsystem:
 
 - a streamed corpus is ingested, deduped by content hash, sharded into
   the append-only store, and classified online through the serving
-  stack (replica pool in the end-to-end test);
+  engine;
 - a forced drift event (novel post-drift vocabulary) triggers exactly
   one re-fit through the experiment engine, publishing a new registry
   version that is atomically picked up;
@@ -280,13 +280,13 @@ def test_malformed_drift_state_is_typed():
 
 
 # ---------------------------------------------------------------------------
-# End to end: pool serving, forced drift, re-fit, atomic republish
+# End to end: engine serving, forced drift, re-fit, atomic republish
 # ---------------------------------------------------------------------------
 
-def test_end_to_end_pool_with_drift_refit(tmp_path):
+def test_end_to_end_with_drift_refit(tmp_path):
     from repro.serve.registry import ModelRegistry
 
-    config = make_config(tmp_path, backend="pool", replicas=2)
+    config = make_config(tmp_path)
     pipe = Pipeline(config)
     report = pipe.run()
 
@@ -308,7 +308,6 @@ def test_end_to_end_pool_with_drift_refit(tmp_path):
     # The post-refit generation actually served traffic.
     generations = {r["model_gen"] for r in pipe.store.iter_predictions()}
     assert generations == {0, 1}
-    # Pool clients return labels without confidences.
     labels = {r["label"] for r in pipe.store.iter_predictions()}
     assert labels <= set(pipe.source.label_set.labels)
 
@@ -370,7 +369,7 @@ def test_scored_servable_topk_contract():
 
 
 def test_drift_monitor_accepts_pairs_and_triples():
-    # Pool-backend predictions are (label, None, None) triples; older
+    # Scoreless models predict (label, None, None) triples; older
     # callers and tests pass bare pairs. Both must fold in.
     from repro.core.types import Document
 
@@ -426,6 +425,32 @@ def test_crash_before_bootstrap_resumes_identically(tmp_path):
 
     resumed = Pipeline.resume("s", crashed_dir / "corpus")
     resumed.run()
+    assert store_digest(tmp_path / "clean" / "corpus" / "s") == \
+        store_digest(crashed_dir / "corpus" / "s")
+
+
+def test_resume_of_streams_recorded_with_a_backend(tmp_path):
+    # Older streams record "backend"/"replicas" in meta.json.
+    clean = Pipeline(make_config(tmp_path / "clean"))
+    clean.run()
+
+    crashed_dir = tmp_path / "crashed"
+    crashed = Pipeline(make_config(crashed_dir))
+    crashed.run(max_batches=7, checkpoint_on_exit=False)
+    meta_path = crashed.store.directory / "meta.json"
+    meta = json.loads(meta_path.read_text())
+
+    # A pool-served stream logged no confidences, so replaying it on the
+    # engine would not be byte-identical: refuse, typed.
+    meta_path.write_text(json.dumps({**meta, "backend": "pool",
+                                     "replicas": 2}))
+    with pytest.raises(PipelineError, match="'pool' backend"):
+        Pipeline.resume("s", crashed_dir / "corpus")
+
+    # An engine-served stream resumes byte-identically.
+    meta_path.write_text(json.dumps({**meta, "backend": "engine",
+                                     "replicas": 2}))
+    Pipeline.resume("s", crashed_dir / "corpus").run()
     assert store_digest(tmp_path / "clean" / "corpus" / "s") == \
         store_digest(crashed_dir / "corpus" / "s")
 

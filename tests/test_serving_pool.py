@@ -1,11 +1,11 @@
-"""Replica-pool tests: shared weights, dispatch, HTTP front door, CLI.
+"""Replica-pool tests: dispatch, typed errors, HTTP front door, CLI.
 
-The contract under test: a pool of worker processes over one
-shared-memory weight set answers bit-identically to a single in-process
-:class:`ServingEngine`; backpressure and deadline errors cross the
-process boundary *typed*; a crashed worker fails only its own in-flight
-requests and never leaks a ``/dev/shm`` segment; and the HTTP layer maps
-those errors onto 429/504/503 status codes.
+The contract under test: a pool of worker processes, each a plain
+predict loop over the artifact, answers bit-identically to a single
+in-process :class:`ServingEngine`; backpressure and deadline errors
+cross the process boundary *typed*; a crashed worker fails only its own
+in-flight requests; and the HTTP layer maps those errors onto
+429/504/503 status codes.
 
 The fake models here are module-level classes on purpose: pool workers
 are ``spawn`` processes that unpickle the artifact's ``state.pkl``, so
@@ -20,9 +20,7 @@ import os
 import signal
 import threading
 import time
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.exceptions import (
@@ -39,14 +37,10 @@ from repro.serve import (
     ReplicaPool,
     ServeConfig,
     ServingEngine,
-    attach_arrays,
     export_artifact,
-    publish_arrays,
 )
 
 pytestmark = pytest.mark.serving
-
-SHM_DIR = Path("/dev/shm")
 
 
 class SlowModel:
@@ -58,6 +52,13 @@ class SlowModel:
     def predict(self, docs):
         time.sleep(self.delay_s)
         return ["slow"] * len(docs)
+
+
+class ThreadCountModel:
+    """Picklable fake that answers with its process's Python thread count."""
+
+    def predict(self, docs):
+        return [threading.active_count()] * len(docs)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def pool_registry(pool_bundle, tiny_plm, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def xpool(pool_registry):
-    config = PoolConfig(replicas=2, batch_window_s=0.001, warmup=False)
+    config = PoolConfig(replicas=2, warmup=False)
     with ReplicaPool.from_registry(pool_registry, "pool-x",
                                    config=config) as pool:
         yield pool
@@ -92,7 +93,7 @@ def http_server(xpool):
 def slow_pool(tmp_path):
     path = export_artifact(SlowModel(), tmp_path / "slow")
     pool = ReplicaPool(path, config=PoolConfig(
-        replicas=1, max_queue=4, batch_window_s=0.0, warmup=False))
+        replicas=1, max_queue=4, warmup=False))
     yield pool
     pool.close()
 
@@ -107,39 +108,6 @@ def _http(server, method, path, body=None):
         return resp.status, payload, dict(resp.getheaders())
     finally:
         conn.close()
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory publication
-# ---------------------------------------------------------------------------
-
-def test_shm_publish_attach_roundtrip_and_cleanup():
-    arrays = [np.arange(12, dtype=np.float32).reshape(3, 4),
-              np.arange(7, dtype=np.int8),
-              np.full((2, 5), 0.5, dtype=np.float64)]
-    handle = publish_arrays(arrays, label="unit")
-    try:
-        assert (SHM_DIR / handle.name).exists()
-        for entry in handle.spec["arrays"]:
-            assert entry["offset"] % 64 == 0  # aligned for BLAS rows
-
-        attached = attach_arrays(handle.spec)
-        for mine, theirs in zip(arrays, attached.arrays):
-            np.testing.assert_array_equal(mine, theirs)
-            assert not theirs.flags.writeable
-        with pytest.raises(ValueError):
-            attached.arrays[0][0, 0] = 99.0  # weights are read-only
-
-        # Non-owner close never unlinks.
-        attached.close()
-        assert (SHM_DIR / handle.name).exists()
-    finally:
-        handle.close()
-    assert not (SHM_DIR / handle.name).exists()
-    handle.close()  # idempotent
-
-    with pytest.raises(ServingError, match="does not exist"):
-        attach_arrays(handle.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -167,28 +135,23 @@ def test_pool_spreads_load_and_reports_stats(xpool, pool_bundle):
         request.wait(120)
         assert request.done() and request.latency_s >= 0
 
-    stats = xpool.stats(refresh=True)
+    stats = xpool.stats()
     assert stats["alive"] == 2 and stats["replicas"] == 2
     assert stats["completed"] >= len(docs)
     assert stats["replica_busy_max"] >= 2  # both replicas held work at once
-    engines = stats["engines"]
-    assert len(engines) == 2
+    per_replica = stats["per_replica"]
+    assert len(per_replica) == 2
     # Least-loaded dispatch actually used both workers.
-    assert all(e.get("requests", 0) > 0 for e in engines)
+    assert all(r["dispatched"] > 0 for r in per_replica)
+    assert sum(r["dispatched"] for r in per_replica) == stats["dispatched"]
+    assert all(r["completed"] == r["dispatched"] for r in per_replica)
 
 
-def test_pool_shm_segments_live_then_cleaned(pool_registry):
-    config = PoolConfig(replicas=2, warmup=False)
-    pool = ReplicaPool.from_registry(pool_registry, "pool-x", config=config)
-    segments = pool.shm_segments()
-    assert segments, "an XClass artifact must publish PLM weights"
-    for name in segments:
-        assert (SHM_DIR / name).exists()
-    pool.close()
-    for name in segments:
-        assert not (SHM_DIR / name).exists(), f"leaked segment {name}"
-    with pytest.raises(ServingError, match="closed"):
-        pool.submit([["late"]])
+def test_pool_worker_is_a_single_thread(tmp_path):
+    path = export_artifact(ThreadCountModel(), tmp_path / "threads")
+    with ReplicaPool(path, config=PoolConfig(replicas=1,
+                                             warmup=False)) as pool:
+        assert pool.classify([["a"], ["b"]], timeout=60) == [1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +169,8 @@ def test_pool_overload_sheds_typed(slow_pool):
 
 def test_pool_deadline_miss_is_typed(slow_pool):
     slow_pool.submit([["blocker"]])
-    # Let the worker batcher pull the blocker into predict (0.25s) so
-    # the late request queues behind it instead of coalescing with it.
+    # Let the worker take the blocker into predict (0.25s) so the late
+    # request queues behind it instead of joining its batch.
     time.sleep(0.1)
     late = slow_pool.submit([["late"]], deadline_s=0.05)
     with pytest.raises(DeadlineExceeded):
@@ -218,14 +181,19 @@ def test_pool_deadline_miss_is_typed(slow_pool):
 def test_replica_crash_fails_inflight_and_pool_survives(tmp_path):
     path = export_artifact(SlowModel(), tmp_path / "slow")
     pool = ReplicaPool(path, config=PoolConfig(
-        replicas=2, max_queue=8, batch_window_s=0.0, warmup=False))
+        replicas=2, max_queue=8, warmup=False))
     try:
-        doomed = pool.submit([["a"]])
-        victim = next(r for r in pool.stats()["per_replica"]
-                      if r["in_flight"] == 1)
+        # Least-loaded dispatch alternates: two requests on each replica.
+        requests = [pool.submit([[f"d{i}"]]) for i in range(4)]
+        victim = pool.stats()["per_replica"][0]
+        assert victim["in_flight"] == 2
         os.kill(victim["pid"], signal.SIGKILL)
-        with pytest.raises(ServingError, match="died"):
-            doomed.wait(30)
+        doomed, survived = requests[0::2], requests[1::2]
+        for request in doomed:
+            with pytest.raises(ServingError, match="died"):
+                request.wait(30)
+        for request in survived:
+            assert request.wait(60) == ["slow"]
 
         deadline = time.monotonic() + 10
         while pool.alive_count() > 1 and time.monotonic() < deadline:
@@ -238,10 +206,9 @@ def test_replica_crash_fails_inflight_and_pool_survives(tmp_path):
         pool.close()
 
 
-def test_all_replicas_dead_is_typed_and_segments_unlinked(pool_registry):
+def test_all_replicas_dead_is_typed(pool_registry):
     pool = ReplicaPool.from_registry(
         pool_registry, "pool-x", config=PoolConfig(replicas=2, warmup=False))
-    segments = pool.shm_segments()
     try:
         for entry in pool.stats()["per_replica"]:
             os.kill(entry["pid"], signal.SIGKILL)
@@ -252,9 +219,8 @@ def test_all_replicas_dead_is_typed_and_segments_unlinked(pool_registry):
             pool.submit([["x"]])
     finally:
         pool.close()
-    # Even after every worker was SIGKILLed, the owner unlink ran.
-    for name in segments:
-        assert not (SHM_DIR / name).exists(), f"leaked segment {name}"
+    with pytest.raises(ServingError, match="closed"):
+        pool.submit([["late"]])
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +235,23 @@ def test_http_healthz_and_stats(http_server):
     status, payload, _ = _http(http_server, "GET", "/stats")
     assert status == 200
     assert payload["alive"] == 2
-    assert len(payload["engines"]) == 2
+    assert [r["replica"] for r in payload["per_replica"]] == [0, 1]
+    assert sum(r["dispatched"] for r in payload["per_replica"]) == \
+        payload["dispatched"]
 
     status, _, _ = _http(http_server, "GET", "/nope")
     assert status == 404
+
+
+def test_http_stats_is_not_a_served_request(http_server, xpool, pool_bundle):
+    xpool.classify(pool_bundle.test_corpus.token_lists()[:1], timeout=120)
+    for _ in range(3):
+        status, payload, _ = _http(http_server, "GET", "/stats")
+        assert status == 200
+    assert payload["in_flight"] == 0
+    assert payload["completed"] == payload["dispatched"]
+    assert all(r["completed"] == r["dispatched"]
+               for r in payload["per_replica"])
 
 
 def test_http_classify_matches_pool(http_server, xpool, pool_bundle):
@@ -284,18 +263,30 @@ def test_http_classify_matches_pool(http_server, xpool, pool_bundle):
     assert payload == {"labels": list(expected)}
 
 
-def test_http_bad_requests_are_400(http_server):
+def test_http_bad_requests_are_400(http_server, xpool):
+    dispatched = xpool.stats()["dispatched"]
+    docs = [["d"]]
     for body in ("{nope", json.dumps({"docs": []}), json.dumps({"no": 1}),
-                 json.dumps({"docs": [["d"]], "deadline_s": "soon"})):
+                 json.dumps({"docs": docs, "deadline_s": "soon"}),
+                 json.dumps({"docs": docs, "timeout_s": "soon"}),
+                 json.dumps({"docs": docs, "deadline_s": True}),
+                 json.dumps({"docs": docs, "timeout_s": False}),
+                 json.dumps({"docs": docs, "deadline_s": -1}),
+                 json.dumps({"docs": docs, "timeout_s": -0.5}),
+                 json.dumps({"docs": docs, "deadline_s": float("nan")}),
+                 json.dumps({"docs": docs, "timeout_s": float("inf")}),
+                 json.dumps({"docs": docs, "deadline_s": 10 ** 400})):
         status, payload, _ = _http(http_server, "POST", "/classify", body)
-        assert status == 400
+        assert status == 400, body
         assert payload["error"] == "bad-request"
+    # Rejected before dispatch: no replica saw any of them.
+    assert xpool.stats()["dispatched"] == dispatched
 
 
 def test_http_backpressure_maps_to_429_and_504(tmp_path):
     path = export_artifact(SlowModel(), tmp_path / "slow")
     pool = ReplicaPool(path, config=PoolConfig(
-        replicas=1, max_queue=2, batch_window_s=0.0, warmup=False))
+        replicas=1, max_queue=2, warmup=False))
     try:
         with PoolServer(pool, port=0).start() as server:
             blockers = [pool.submit([["a"]]), pool.submit([["b"]])]
@@ -308,6 +299,9 @@ def test_http_backpressure_maps_to_429_and_504(tmp_path):
                 request.wait(60)
 
             pool.submit([["blocker"]])
+            # As in test_pool_deadline_miss_is_typed: let the worker take
+            # the blocker into predict so "late" cannot join its batch.
+            time.sleep(0.1)
             status, payload, _ = _http(
                 server, "POST", "/classify",
                 json.dumps({"docs": [["late"]], "deadline_s": 0.05}))
