@@ -15,7 +15,8 @@ replica count gets two measurement phases:
   behaves), and per-request latency is read off the pool's own
   completion timestamps: p50/p99/p999.
 
-Every request carries a distinct document (unique lead token), so
+Every request carries a distinct document (unique in-vocabulary lead
+tokens), so
 worker-side encode caches never hit and the measured work is real
 inference. The 4-vs-1-replica speedup floor is **host-calibrated**: the
 nominal >=1.8x target applies on a >=4-core host with calm timing
@@ -37,6 +38,7 @@ Writes ``BENCH_serving_pool.json`` (validated by
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -78,8 +80,17 @@ DOCS_PER_REQUEST = 4
 POOL_FLOOR_1CORE, POOL_FLOOR_FRACTION, POOL_FLOOR_MAX = 0.35, 0.55, 1.8
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, e.g. under
+    ``taskset``), not the host's total."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 def _pool_floor() -> dict:
-    cores = os.cpu_count() or 1
+    cores = _usable_cpus()
     usable = min(cores, max(REPLICA_COUNTS))
     probes = hostcal.calibrate()
     if usable == 1:
@@ -94,7 +105,7 @@ def _pool_floor() -> dict:
     }
 
 
-def _publish_model(root) -> "tuple[ModelRegistry, str, list]":
+def _publish_model(root) -> "tuple[ModelRegistry, str, list, list]":
     config = PLMConfig(dim=32, n_layers=2, n_heads=2, ff_hidden=64,
                        mlm_steps=150, pretrain_docs=700)
     bundle = load_profile("agnews", seed=0, scale=0.4)
@@ -107,18 +118,26 @@ def _publish_model(root) -> "tuple[ModelRegistry, str, list]":
         "profile": "agnews", "seed": 0, "bench": "serving_pool"})
     sources = (bundle.test_corpus.token_lists()
                + bundle.train_corpus.token_lists())
-    return registry, "pool-bench", sources
+    vocab = plm.vocabulary
+    words = [vocab.token(i) for i in range(len(vocab.specials), len(vocab))]
+    return registry, "pool-bench", sources, words
 
 
-def _distinct_docs(sources: list, namespace: str, n_docs: int) -> list:
-    """``n_docs`` docs of DOC_TOKENS tokens, each with a unique lead token.
+def _distinct_docs(sources: list, words: list, serials, n_docs: int) -> list:
+    """``n_docs`` docs of DOC_TOKENS tokens, each never built before.
 
-    The unique token defeats the content-addressed encode cache, so
-    every request costs a real encode in whichever worker serves it.
+    Each doc leads with two in-vocabulary ``words`` that spell its next
+    number from ``serials`` (one ``itertools.count()`` per run) in base
+    ``len(words)``, so no two docs of the run share token ids. That defeats the content-addressed encode cache: every request
+    costs a real encode in whichever worker serves it. (An
+    out-of-vocabulary lead token would encode as ``[UNK]`` and repeat.)
     """
     docs = []
     for i in range(n_docs):
-        doc = [f"{namespace}{i}"] + list(sources[i % len(sources)])
+        serial = next(serials)
+        assert serial < len(words) ** 2, "ran out of distinct lead tokens"
+        lead = [words[serial // len(words)], words[serial % len(words)]]
+        doc = lead + list(sources[i % len(sources)])
         j = 1
         while len(doc) < DOC_TOKENS:
             doc += sources[(i + j) % len(sources)]
@@ -127,9 +146,11 @@ def _distinct_docs(sources: list, namespace: str, n_docs: int) -> list:
     return docs
 
 
-def _distinct_requests(sources: list, namespace: str, n_requests: int) -> list:
+def _distinct_requests(sources: list, words: list, serials,
+                       n_requests: int) -> list:
     """``n_requests`` payloads of DOCS_PER_REQUEST distinct docs each."""
-    docs = _distinct_docs(sources, namespace, n_requests * DOCS_PER_REQUEST)
+    docs = _distinct_docs(sources, words, serials,
+                          n_requests * DOCS_PER_REQUEST)
     return [docs[i * DOCS_PER_REQUEST:(i + 1) * DOCS_PER_REQUEST]
             for i in range(n_requests)]
 
@@ -199,16 +220,17 @@ def _open_loop(pool: ReplicaPool, requests: list, rate_rps: float) -> dict:
 def test_pool_saturation_and_tails(tmp_path):
     calibration = _pool_floor()
     min_speedup = calibration["min_speedup"]
-    registry, name, sources = _publish_model(tmp_path / "registry")
+    registry, name, sources, words = _publish_model(tmp_path / "registry")
+    serials = itertools.count()
 
     # Equivalence probe: the pool must reproduce the single in-process
     # engine bit-for-bit (same artifact, deterministic inference).
-    probe_docs = _distinct_docs(sources, "probe", 16)
+    probe_docs = _distinct_docs(sources, words, serials, 16)
     with ServingEngine(registry.load(name),
                        ServeConfig(batch_window_s=0.0)) as engine:
         expected = engine.classify(probe_docs)
         closed_rps_engine = _closed_loop(engine, _distinct_requests(
-            sources, "ec", N_CLIENTS * CLOSED_PER_CLIENT))
+            sources, words, serials, N_CLIENTS * CLOSED_PER_CLIENT))
 
     per_replicas = {}
     for n in REPLICA_COUNTS:
@@ -216,10 +238,10 @@ def test_pool_saturation_and_tails(tmp_path):
         with ReplicaPool.from_registry(registry, name,
                                        config=config) as pool:
             assert pool.classify(probe_docs, timeout=120) == list(expected)
-            closed = _distinct_requests(sources, f"r{n}c",
+            closed = _distinct_requests(sources, words, serials,
                                         N_CLIENTS * CLOSED_PER_CLIENT)
             closed_rps = _closed_loop(pool, closed)
-            opened = _distinct_requests(sources, f"r{n}o", N_OPEN)
+            opened = _distinct_requests(sources, words, serials, N_OPEN)
             open_stats = _open_loop(pool, opened,
                                     max(1.0, OPEN_FRACTION * closed_rps))
             stats = pool.stats()

@@ -158,7 +158,9 @@ class EncodeCache:
             path = self._disk_path(namespace, key)
             if not path.exists():
                 path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(".tmp.npz")
+                # Process-unique tmp name: two workers putting the same
+                # key must not rename each other's file away.
+                tmp = path.with_name(f".{key}.{os.getpid()}.tmp.npz")
                 np.savez(tmp, hidden=value)
                 tmp.replace(path)
 

@@ -15,10 +15,14 @@ Three node kinds are in play today:
 
 - ``corpus`` — builds a dataset bundle (``load_profile``); shared by
   every table that reads the same ``(profile, seed)``.
-- ``encode`` — pre-trains the profile's PLM and streams every document
-  through it, materializing hidden states into the shared
-  :class:`~repro.core.enc_cache.EncodeCache` disk tier. One encode node
-  serves every table (and every worker process) that needs it.
+- ``encode`` — pre-trains the profile's PLM, saves it as a
+  content-addressed archive in the store the scheduler shares with its
+  workers, and streams every document through it, materializing hidden
+  states into the shared :class:`~repro.core.enc_cache.EncodeCache`
+  disk tier. Every PLM row depends on it and loads the archive instead
+  of pre-training, so a graph pre-trains each model once, in whichever
+  worker runs the encode node. One encode node serves every table (and
+  every worker process) that needs it.
 - ``row`` — a method fit + metrics (a table row, or the streaming
   pipeline's drift re-fit), seeded by
   :func:`~repro.experiments.engine.derive_row_seed` of the table seed

@@ -22,6 +22,12 @@ store off), goes through :func:`run_graph`. Given an
   message); sibling subgraphs run to completion, and error payloads are
   never stored.
 
+Shared store: for the whole run, this process and every worker it
+spawns see one encode-cache disk tier (:func:`_shared_store`). It holds
+the encode node's hidden states and the PLM archives that let a graph
+pre-train each model once, whichever worker needs it and at any
+``--jobs``.
+
 Determinism: node seeds are fixed at compile time (row nodes carry
 :func:`engine.derive_row_seed` of their table seed and row name),
 execution order never feeds back into any node's inputs, and worker
@@ -39,6 +45,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_connections
 from pathlib import Path
@@ -173,26 +180,29 @@ def run_graph(graph: ArtifactGraph, *, jobs: "int | None" = None,
         report.errors += 1
         obs.count("dag.nodes_errors")
 
-    if to_run and jobs <= 1:
-        for name in to_run:
-            node = graph.nodes[name]
-            failed = [d for d in node.deps if statuses.get(d) in _BAD_STATES]
-            if failed:
-                record_upstream(name, failed)
-                continue
-            with obs.span(f"node:{name}"):
-                metrics, seconds = engine._execute_row(node, node.seed)
-            record(name, metrics, seconds)
-    elif to_run:
-        _run_pool_graph(graph, to_run, statuses, jobs, timeout, cache_dir,
-                        record, record_upstream, trace)
-        if trace:
-            # Absorb worker traces in topological order — not completion
-            # order — so parallel trace content is deterministic.
+    with _shared_store(cache_dir):
+        if to_run and jobs <= 1:
             for name in to_run:
-                payload = traces.get(name)
-                if payload is not None:
-                    obs.tracer().absorb(payload)
+                node = graph.nodes[name]
+                failed = [d for d in node.deps
+                          if statuses.get(d) in _BAD_STATES]
+                if failed:
+                    record_upstream(name, failed)
+                    continue
+                with obs.span(f"node:{name}"):
+                    metrics, seconds = engine._execute_row(node, node.seed)
+                record(name, metrics, seconds)
+        elif to_run:
+            _run_pool_graph(graph, to_run, statuses, jobs, timeout,
+                            record, record_upstream, trace)
+            if trace:
+                # Absorb worker traces in topological order — not
+                # completion order — so parallel trace content is
+                # deterministic.
+                for name in to_run:
+                    payload = traces.get(name)
+                    if payload is not None:
+                        obs.tracer().absorb(payload)
 
     report.seconds = time.perf_counter() - start
     _LAST_DAG_REPORT.clear()
@@ -200,7 +210,30 @@ def run_graph(graph: ArtifactGraph, *, jobs: "int | None" = None,
     return results
 
 
-def _run_pool_graph(graph, to_run, statuses, jobs, timeout, cache_dir,
+@contextmanager
+def _shared_store(cache_dir: Path):
+    """Share one store between this process and every worker it spawns.
+
+    Unless ``REPRO_ENC_CACHE_DIR`` already names one, the encode cache's
+    disk tier is exported next to the row-cache root for the duration
+    of the run; spawned workers inherit the environment at spawn time.
+    It holds the encode node's hidden states (disk hits for every row
+    node, whichever process runs it) and the PLM archives rows load
+    instead of pre-training (:func:`repro.experiments.tables._plm`).
+    ``REPRO_ENC_CACHE=0`` turns the store off.
+    """
+    shared_enc = None
+    if _env.enc_cache_enabled() and _env.enc_cache_dir() is None:
+        shared_enc = str(engine._enc_cache_dir_for(cache_dir))
+        os.environ["REPRO_ENC_CACHE_DIR"] = shared_enc
+    try:
+        yield
+    finally:
+        if shared_enc and os.environ.get("REPRO_ENC_CACHE_DIR") == shared_enc:
+            del os.environ["REPRO_ENC_CACHE_DIR"]
+
+
+def _run_pool_graph(graph, to_run, statuses, jobs, timeout,
                     record, record_upstream, trace) -> None:
     """Fan ``to_run`` out over a spawn pool of :class:`engine._Worker` s.
 
@@ -213,15 +246,6 @@ def _run_pool_graph(graph, to_run, statuses, jobs, timeout, cache_dir,
     ctx = multiprocessing.get_context("spawn")
     waiting = list(to_run)
     remaining = len(waiting)
-
-    # Point spawned workers (which inherit the environment at spawn
-    # time) at a shared encode-cache disk tier so an encode node's
-    # hidden states are disk hits for every row node, whichever worker
-    # runs it.
-    shared_enc = None
-    if _env.enc_cache_enabled() and _env.enc_cache_dir() is None:
-        shared_enc = str(engine._enc_cache_dir_for(cache_dir))
-        os.environ["REPRO_ENC_CACHE_DIR"] = shared_enc
 
     def sweep() -> int:
         """Resolve waiting nodes whose dependencies failed; cascades."""
@@ -313,8 +337,6 @@ def _run_pool_graph(graph, to_run, statuses, jobs, timeout, cache_dir,
     finally:
         for worker in workers:
             worker.stop()
-        if shared_enc and os.environ.get("REPRO_ENC_CACHE_DIR") == shared_enc:
-            del os.environ["REPRO_ENC_CACHE_DIR"]
 
 
 def run_requests(requests: list, *, jobs: "int | None" = None,

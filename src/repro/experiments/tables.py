@@ -15,7 +15,8 @@ pickle cleanly into spawn workers and key the artifact store. Runners
 rebuild bundles and PLMs from ``(profile, table_seed)``; in-process
 caches (``load_profile`` results here, pre-trained models in
 ``repro.plm.provider``) make that free after the first row a process
-executes.
+executes, and a PLM pre-trained by one process reaches the others as a
+content-addressed archive (:func:`_plm`).
 
 Every runner receives its node's derived per-row seed (it keys the
 artifact store and is the seed for any row-local randomness a runner
@@ -28,7 +29,10 @@ regenerated tables match the pre-engine serial output bit for bit.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -64,13 +68,19 @@ from repro.baselines import (
 )
 from repro.baselines.fewshot import FewShotBERT, FewShotCNN, FewShotHAN
 from repro.baselines.word2vec_match import Word2VecMatch
+from repro.core import env as _env
 from repro.core.base import MultiLabelTextClassifier as _MLBase
 from repro.core.registry import summary_rows
 from repro.core.supervision import LabelNames as _LabelNames
 from repro.core.supervision import require as _require
 from repro.datasets import load_profile
 from repro.evaluation.metrics import macro_f1, micro_f1
-from repro.experiments.dag import DagNode, TableRequest, scope_for
+from repro.experiments.dag import (
+    DagNode,
+    TableRequest,
+    scope_for,
+    source_component,
+)
 from repro.experiments.engine import SKIP_ROW, derive_row_seed
 from repro.experiments.scheduler import run_requests
 from repro.experiments.runner import (
@@ -92,7 +102,8 @@ from repro.methods import (
     WeSTClass,
     XClass,
 )
-from repro.plm.provider import get_pretrained_lm
+from repro.plm.config import PLMConfig
+from repro.plm.provider import corpus_digest, get_pretrained_lm
 from repro.taxogen import (
     EdgeScorer,
     TaxonomyRepairer,
@@ -102,7 +113,39 @@ from repro.taxogen import (
 
 
 def _plm(bundle, seed: int):
-    return get_pretrained_lm(target_corpus=bundle.train_corpus, seed=seed % 7)
+    """The table's PLM, pre-trained at most once per graph.
+
+    The first process to need it (the graph's encode node, which every
+    PLM row depends on) pre-trains it and saves it as an archive in the
+    store the scheduler shares with its workers; every other process
+    loads that archive instead of pre-training again.
+    """
+    corpus, config, plm_seed = bundle.train_corpus, PLMConfig(), seed % 7
+    return get_pretrained_lm(target_corpus=corpus, config=config,
+                             seed=plm_seed,
+                             archive=_plm_archive(corpus, config, plm_seed))
+
+
+def _plm_archive(corpus, config: PLMConfig,
+                 plm_seed: int) -> "Path | None":
+    """``<store>/plm/<digest>.npz`` for one PLM (None without a store).
+
+    The name digests the config, the target corpus's tokens, the seed
+    and the shared source digest, so a code change never serves a stale
+    model. The store is the encode cache's shared disk tier, which
+    :func:`~repro.experiments.scheduler.run_graph` sets up for the
+    graph; ``REPRO_ENC_CACHE=0`` turns it off and every process
+    pre-trains what it needs.
+    """
+    store = _env.enc_cache_dir() if _env.enc_cache_enabled() else None
+    if store is None:
+        return None
+    identity = json.dumps([repr(config.cache_key()),
+                           corpus_digest(corpus), plm_seed,
+                           source_component(())])
+    name = hashlib.blake2b(identity.encode("utf-8"),
+                           digest_size=16).hexdigest()
+    return store / "plm" / f"{name}.npz"
 
 
 def _fit_flat(classifier, bundle, supervision) -> dict:
@@ -163,10 +206,12 @@ def _encode_node(node_seed: int, profile: str, view: str,
                  table_seed: int) -> dict:
     """Pre-train the profile's PLM and stream every document through it.
 
-    Materializes per-document hidden states into the shared
-    :class:`~repro.core.enc_cache.EncodeCache` disk tier, so every row
-    node downstream — in any worker process, for any table — encodes
-    against warm shards instead of re-running the forward pass.
+    The only place a graph pre-trains: the model is saved as a
+    content-addressed archive (:func:`_plm_archive`) that every PLM row
+    downstream loads, in whichever worker it lands. Per-document hidden
+    states go into the shared :class:`~repro.core.enc_cache.EncodeCache`
+    disk tier, so those rows — in any worker process, for any table —
+    encode against warm entries instead of re-running the forward pass.
     """
     bundle = _encode_view(profile, table_seed, view)
     plm = _plm(bundle, table_seed)

@@ -2,8 +2,10 @@
 
 A fitted :class:`~repro.plm.model.PretrainedLM` serializes to a single
 ``.npz`` file: the parameter arrays (in ``Module.parameters()`` order), the
-vocabulary tokens, counts, and the config fields — enough to rebuild the
-model bit-identically in another process, skipping pre-training.
+vocabulary tokens, counts, the config fields and the pre-training seed —
+enough to rebuild the model, and the fine-tuning heads the provider
+trains on it, bit-identically in another process, skipping pre-training.
+Writes are atomic (a process-unique tmp file, then ``os.replace``).
 
 The archive records its compute dtype explicitly (``meta["dtype"]``), and
 :func:`load_plm` rebuilds the encoder *under that dtype* regardless of the
@@ -34,6 +36,7 @@ bare numpy/zipfile/JSON error.
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from pathlib import Path
 
@@ -112,12 +115,24 @@ def save_plm(plm: PretrainedLM, path: "str | Path",
                 # (quantized variants dequantize back to this dtype).
                 "dtype": str(np.dtype(state[0].dtype)) if state else "float32",
                 "quantize": quantize,
+                # The pre-training seed the fine-tuning heads derive from.
+                "seed": int(plm.seed),
             }
         ),
         dtype=np.str_,
     )
-    np.savez_compressed(path, **payload)
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+    final = path if path.suffix == ".npz" else path.with_suffix(
+        path.suffix + ".npz")
+    # A process-unique tmp name, then an atomic rename: concurrent
+    # writers of one archive never collide, and readers never see a
+    # partial file.
+    tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp.npz")
+    try:
+        np.savez_compressed(tmp, **payload)
+        os.replace(tmp, final)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return final
 
 
 def load_plm(path: "str | Path") -> PretrainedLM:
@@ -175,4 +190,5 @@ def load_plm(path: "str | Path") -> PretrainedLM:
         # Quantized archives are predict-only and already non-bit-exact
         # with the trainer, so they run the packed forward.
         packed_encoder(encoder)
-    return PretrainedLM(encoder, enc_cache=shared_encode_cache())
+    return PretrainedLM(encoder, enc_cache=shared_encode_cache(),
+                        seed=int(meta.get("seed", 0)))

@@ -39,12 +39,18 @@ class PretrainedLM:
         ``None`` encodes every call uncached.
     engine_config:
         Batch-shape knobs; defaults honour ``REPRO_ENGINE_TOKEN_BUDGET``.
+    seed:
+        The pre-training seed. Fine-tuning heads (NLI, ELECTRA) derive
+        their training corpus and initialization from it, so a model
+        loaded from an archive gets the same heads as its source.
     """
 
     def __init__(self, encoder: TransformerEncoder, batch_size: int = 32,
                  enc_cache: "EncodeCache | None" = None,
-                 engine_config: "EngineConfig | None" = None):
+                 engine_config: "EngineConfig | None" = None,
+                 seed: int = 0):
         self.encoder = encoder
+        self.seed = seed
         self.batch_size = batch_size
         self.engine = engine_config or EngineConfig.from_env(batch_size=batch_size)
         self.enc_cache = enc_cache

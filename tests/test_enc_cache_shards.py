@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,40 @@ def test_reader_discovers_other_writers_shards(tmp_path, rng):
                 for _ in range(4)]
     for i in range(4):
         np.testing.assert_array_equal(reader.get("ns", f"w{i}"), expected[i])
+
+
+def test_concurrent_writers_of_the_same_keys_never_collide(tmp_path):
+    """Two processes putting the same per-doc keys at once both succeed.
+
+    Each write goes to a process-unique tmp file before its atomic
+    rename; a shared tmp name let one writer rename the other's file
+    away (``FileNotFoundError``) mid-put.
+    """
+    script = (
+        "import sys, time\n"
+        "import numpy as np\n"
+        "from repro.core.enc_cache import EncodeCache\n"
+        "cache = EncodeCache(max_bytes=0, disk_dir=sys.argv[1])\n"
+        "value = np.zeros((64, 32), dtype=np.float32)\n"
+        "while time.time() < float(sys.argv[2]):\n"
+        "    time.sleep(0.001)\n"
+        "for i in range(300):\n"
+        "    cache.put('ns', f'k{i}', value)\n"
+    )
+    env = {**os.environ,
+           "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    start = f"{time.time() + 3.0:.3f}"  # both begin after interpreter start
+    writers = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path),
+                                 start], env=env, stderr=subprocess.PIPE,
+                                text=True) for _ in range(2)]
+    for writer in writers:
+        _, stderr = writer.communicate(timeout=120)
+        assert writer.returncode == 0, stderr
+    reader = EncodeCache(max_bytes=0, disk_dir=tmp_path)
+    for i in range(300):
+        np.testing.assert_array_equal(reader.get("ns", f"k{i}"),
+                                      np.zeros((64, 32), dtype=np.float32))
+    assert not list(tmp_path.rglob("*.tmp.npz"))
 
 
 def test_concurrent_shard_reads_are_consistent(tmp_path, rng):
