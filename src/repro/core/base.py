@@ -5,6 +5,10 @@ implement ``_fit`` / ``_predict_proba``. Multi-label methods subclass
 :class:`MultiLabelTextClassifier` and implement ``_fit`` / ``_score`` (a
 per-label relevance score used both for thresholded label sets and ranking
 metrics such as P@k / NDCG@k).
+
+Each base writes its scores-to-labels rule once, in ``labels_from``, and
+``predict`` applies it to the score matrix, so a caller that already
+holds the matrix derives the same labels without a second forward.
 """
 
 from __future__ import annotations
@@ -37,10 +41,13 @@ class WeaklySupervisedTextClassifier(abc.ABC):
 
     def predict(self, corpus: Corpus) -> list[str]:
         """Predicted label id for every document in ``corpus``."""
-        proba = self.predict_proba(corpus)
+        return self.labels_from(self.predict_proba(corpus))
+
+    def labels_from(self, proba) -> list[str]:
+        """The label rule over a ``predict_proba`` matrix: row argmax."""
         assert self.label_set is not None
-        indices = np.asarray(proba).argmax(axis=1)
-        return [self.label_set.labels[i] for i in indices]
+        labels = self.label_set.labels
+        return [labels[i] for i in np.asarray(proba).argmax(axis=1)]
 
     def predict_proba(self, corpus: Corpus) -> np.ndarray:
         """(n_docs, n_labels) class-probability matrix."""
@@ -88,12 +95,15 @@ class MultiLabelTextClassifier(abc.ABC):
         return np.asarray(self._score(corpus), dtype=float)
 
     def predict(self, corpus: Corpus, threshold: float = 0.5, top_k: "int | None" = None) -> list[tuple[str, ...]]:
-        """Predicted label tuples.
+        """Predicted label tuples (the :meth:`labels_from` rule)."""
+        return self.labels_from(self.score(corpus), threshold, top_k)
+
+    def labels_from(self, scores, threshold: float = 0.5, top_k: "int | None" = None) -> list[tuple[str, ...]]:
+        """The label rule over a :meth:`score` matrix.
 
         With ``top_k`` set, each document receives exactly its top-k labels;
         otherwise all labels scoring above ``threshold`` (at least one).
         """
-        scores = self.score(corpus)
         assert self.label_set is not None
         labels = self.label_set.labels
         out: list[tuple[str, ...]] = []

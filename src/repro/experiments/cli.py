@@ -19,8 +19,8 @@ artifact store, and ``--select`` forces just the named subgraph to
 recompute (``table.row`` for one row node, ``+node`` to include its
 ancestors, ``node+`` its dependents). The ``[dag]`` footer reports
 reused-vs-executed node counts. ``cache-prune`` sweeps DAG artifacts
-left behind by old source trees, plus any leftover row-memo files of
-the retired flat row engine.
+and PLM archives left behind by old source trees, plus any leftover
+row-memo files of the retired flat row engine.
 
 ``--trace DIR`` (or ``REPRO_TRACE=DIR``) records the run through
 :mod:`repro.obs` and writes ``DIR/trace_<experiment>.jsonl``; render it
@@ -30,6 +30,7 @@ with ``python -m repro.obs.report DIR/trace_<experiment>.jsonl``.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -38,7 +39,7 @@ from repro import obs
 from repro.core import env as _env
 from repro.evaluation.reporting import format_table
 from repro.experiments import engine, figures, scheduler, tables
-from repro.experiments.dag import ArtifactGraph
+from repro.experiments.dag import ArtifactGraph, source_component
 
 TABLES = {
     "westclass": (tables.westclass_table, "WeSTClass results table"),
@@ -90,8 +91,30 @@ def _dag_footer() -> "str | None":
             f"{report.seconds:.1f}s")
 
 
+def _prune_plm_archives(plm_dir: Path) -> tuple:
+    """``(kept, removed)`` PLM archives under ``plm_dir``.
+
+    Archives live in one directory per shared source digest
+    (:func:`repro.experiments.tables._plm_archive`), so everything but
+    the current source's directory is dead and goes.
+    """
+    live = source_component(())
+    kept = removed = 0
+    for path in sorted(plm_dir.glob("*")):
+        if path.name == live:
+            kept += len(list(path.glob("*.npz")))
+        elif path.is_dir():
+            removed += len(list(path.rglob("*.npz")))
+            shutil.rmtree(path, ignore_errors=True)
+        else:
+            removed += int(path.suffix == ".npz")
+            path.unlink(missing_ok=True)
+    return kept, removed
+
+
 def _cache_prune(seed: int, fast: bool) -> int:
-    """Sweep dead entries from the row-cache root and the DAG store.
+    """Sweep dead entries from the row-cache root, the DAG store and the
+    PLM archives.
 
     Top-level ``*.json`` files under the row-cache root are row-memo
     entries of the retired flat row engine: no code reads them, so all
@@ -99,7 +122,9 @@ def _cache_prune(seed: int, fast: bool) -> int:
     when their content digest is reachable from the currently compiled
     graphs — the scoped-digest scheme means a method edit re-addresses
     only that method's subgraph, so untouched nodes' artifacts stay live
-    across source changes and must not be swept.
+    across source changes and must not be swept. PLM archives survive
+    only under the current shared source digest. The encode cache's
+    hidden-state entries are not swept.
     """
     graph_digests: "set[str]" = set()
     for build in tables.REQUESTS.values():
@@ -120,6 +145,10 @@ def _cache_prune(seed: int, fast: bool) -> int:
         keep_keys=graph_digests)
     print(f"rows: removed {removed_rows} legacy row-memo entries ({rows_dir})")
     print(f"dag:  kept {kept_dag}, removed {removed_dag} ({dag_dir})")
+    plm_dir = (_env.enc_cache_dir()
+               or engine._enc_cache_dir_for(rows_dir)) / "plm"
+    kept_plm, removed_plm = _prune_plm_archives(plm_dir)
+    print(f"plm:  kept {kept_plm}, removed {removed_plm} ({plm_dir})")
     return 0
 
 

@@ -128,24 +128,24 @@ def _plm(bundle, seed: int):
 
 def _plm_archive(corpus, config: PLMConfig,
                  plm_seed: int) -> "Path | None":
-    """``<store>/plm/<digest>.npz`` for one PLM (None without a store).
+    """``<store>/plm/<source>/<digest>.npz`` for one PLM, None without a store.
 
-    The name digests the config, the target corpus's tokens, the seed
-    and the shared source digest, so a code change never serves a stale
-    model. The store is the encode cache's shared disk tier, which
-    :func:`~repro.experiments.scheduler.run_graph` sets up for the
-    graph; ``REPRO_ENC_CACHE=0`` turns it off and every process
-    pre-trains what it needs.
+    ``<source>`` is the shared source digest, so a code change never
+    serves a stale model and ``cache-prune`` can sweep every other
+    source's directory; the name digests the config, the target
+    corpus's tokens and the seed. The store is the encode cache's
+    shared disk tier, which :func:`~repro.experiments.scheduler.run_graph`
+    sets up for the graph; ``REPRO_ENC_CACHE=0`` turns it off and every
+    process pre-trains what it needs.
     """
     store = _env.enc_cache_dir() if _env.enc_cache_enabled() else None
     if store is None:
         return None
     identity = json.dumps([repr(config.cache_key()),
-                           corpus_digest(corpus), plm_seed,
-                           source_component(())])
+                           corpus_digest(corpus), plm_seed])
     name = hashlib.blake2b(identity.encode("utf-8"),
                            digest_size=16).hexdigest()
-    return store / "plm" / f"{name}.npz"
+    return store / "plm" / source_component(()) / f"{name}.npz"
 
 
 def _fit_flat(classifier, bundle, supervision) -> dict:

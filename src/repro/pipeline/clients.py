@@ -1,9 +1,12 @@
 """Serving-side client for the online-classification stage.
 
-:class:`EngineClient` runs an in-process
-:class:`~repro.serve.engine.ServingEngine` over a registry artifact,
-wrapped in :class:`ScoredServable` so every prediction comes back as a
-``(label, confidence, topk)`` triple. The confidence feeds the drift
+:class:`EngineClient` loads a registry artifact and classifies on the
+caller's thread: the orchestrator calls it from one thread in fixed
+``batch_size`` chunks, so a batcher in front of it would have nothing
+to coalesce. Each chunk runs exactly one model forward
+(:meth:`~repro.serve.artifacts.ServableModel.predict_scored`), and
+:class:`ScoredServable` turns its labels and score matrix into
+``(label, confidence, topk)`` triples. The confidence feeds the drift
 monitor's decay signal.
 
 The client **pins an explicit registry version** — it never resolves
@@ -20,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.exceptions import PipelineError
-from repro.serve.engine import ServeConfig, ServingEngine
 from repro.serve.registry import ModelRegistry
 
 
@@ -28,14 +30,11 @@ class ScoredServable:
     """Wrap a :class:`~repro.serve.artifacts.ServableModel` so
     ``predict`` returns ``(label, confidence, topk)`` triples.
 
-    The serving engine treats predict results as an opaque list aligned
-    with the input, so the tuples flow through batching and per-request
-    splitting untouched. Confidence is the max class probability from
-    ``scores``; ``topk`` holds the ``TOP_K`` highest-scoring
-    ``[label, score]`` pairs (ties broken by class order, scores rounded
-    so resumed runs replay byte-identical prediction logs). A model
-    without usable scores degrades to ``None`` for both rather than
-    failing the stream.
+    Labels and scores come from one score matrix. Confidence is the max
+    score of a document's row; ``topk`` holds the ``TOP_K``
+    highest-scoring ``[label, score]`` pairs (ties broken by class
+    order, scores rounded so resumed runs replay byte-identical
+    prediction logs).
     """
 
     #: Label scores kept per prediction record.
@@ -44,62 +43,45 @@ class ScoredServable:
     def __init__(self, servable):
         self.servable = servable
 
-    @property
-    def labels(self):
-        return self.servable.labels
-
-    def warmup(self) -> None:
-        self.servable.warmup()
-
     def predict(self, docs) -> list:
-        labels = self.servable.predict(docs)
-        try:
-            scores = np.asarray(self.servable.scores(docs), dtype=np.float64)
-            class_labels = list(self.servable.labels)
-            confidences, topks = [], []
-            for row in scores:
-                order = np.argsort(-row, kind="stable")[:self.TOP_K]
-                confidences.append(float(row.max()))
-                topks.append([[str(class_labels[j]), round(float(row[j]), 6)]
-                              for j in order])
-        except Exception:
-            confidences = [None] * len(labels)
-            topks = [None] * len(labels)
-        if len(confidences) != len(labels):
-            confidences = [None] * len(labels)
-            topks = [None] * len(labels)
-        return list(zip(labels, confidences, topks))
+        labels, scores = self.servable.predict_scored(docs)
+        class_labels = [str(label) for label in self.servable.labels]
+        out = []
+        for label, row in zip(labels, np.asarray(scores, dtype=np.float64)):
+            order = np.argsort(-row, kind="stable")[:self.TOP_K]
+            out.append((label, float(row.max()),
+                        [[class_labels[j], round(float(row[j]), 6)]
+                         for j in order]))
+        return out
 
 
 class EngineClient:
-    """In-process micro-batching client over a pinned registry version."""
+    """In-process client over a pinned registry version."""
 
     def __init__(self, registry: ModelRegistry, name: str, version: int, *,
-                 max_batch_docs: int = 64, warmup: bool = True):
+                 warmup: bool = True):
         self.registry = registry
         self.name = name
-        self.version = int(version)
-        self._max_batch_docs = max_batch_docs
         self._warmup = warmup
-        self._engine = self._start(self.version)
+        self._model = self._load(version)
+        self.version = int(version)
 
-    def _start(self, version: int) -> ServingEngine:
+    def _load(self, version: int) -> ScoredServable:
         try:
             servable = self.registry.load(self.name, version)
+            if self._warmup:
+                servable.warmup()
         except Exception as exc:
             raise PipelineError(
                 f"cannot load model {self.name}@v{version:04d} from "
                 f"{self.registry.root}: {exc}"
             ) from exc
-        return ServingEngine(
-            ScoredServable(servable),
-            ServeConfig(max_batch_docs=self._max_batch_docs,
-                        warmup=self._warmup))
+        return ScoredServable(servable)
 
     def classify(self, docs) -> list:
         """``[(label, confidence, topk)]`` aligned with ``docs``."""
         try:
-            return self._engine.classify([doc.tokens for doc in docs])
+            return self._model.predict([doc.tokens for doc in docs])
         except Exception as exc:
             raise PipelineError(
                 f"classification through {self.name}@v{self.version:04d} "
@@ -107,10 +89,6 @@ class EngineClient:
             ) from exc
 
     def reload(self, version: int) -> None:
-        """Atomically switch to ``version`` (drains the old engine)."""
-        fresh = self._start(version)
-        old, self._engine, self.version = self._engine, fresh, int(version)
-        old.close()
-
-    def close(self) -> None:
-        self._engine.close()
+        """Switch to ``version``; a failed load leaves the old one serving."""
+        self._model = self._load(version)
+        self.version = int(version)

@@ -153,16 +153,16 @@ class PipelineConfig:
     @classmethod
     def from_meta(cls, meta: dict, store_root) -> "PipelineConfig":
         # Streams recorded before the serving client was fixed to the
-        # in-process engine carry "backend"/"replicas"; an engine stream
-        # resumes as before. A pool stream logged no confidences, so the
-        # engine cannot replay its prediction log byte-identically.
+        # in-process one carry "backend"/"replicas"; an "engine" stream
+        # was served in-process and resumes as before. A pool stream
+        # logged no confidences, so it cannot replay byte-identically.
         backend = meta.get("backend", "engine")
         if backend != "engine":
             raise PipelineError(
                 f"stream {meta.get('name')!r} was served through the "
                 f"{backend!r} backend, which no longer exists; its "
-                "prediction log cannot be resumed byte-identically on "
-                "the in-process engine"
+                "prediction log cannot be resumed byte-identically "
+                "in-process"
             )
         try:
             return cls(
@@ -315,8 +315,7 @@ class Pipeline:
         config = self.config
         return EngineClient(
             ModelRegistry(config.resolved_registry_root()),
-            config.resolved_model_name, version,
-            max_batch_docs=config.batch_size, warmup=config.warmup)
+            config.resolved_model_name, version, warmup=config.warmup)
 
     def _training_vocabulary(self) -> set:
         vocabulary = set()
@@ -340,16 +339,13 @@ class Pipeline:
             result = stage.process(chunk)
             scored = result.extra["predictions"]
             records = []
-            for doc, pred in zip(chunk, scored):
-                label, confidence = pred[0], pred[1]
-                topk = pred[2] if len(pred) > 2 else None
+            for doc, (label, confidence, topk) in zip(chunk, scored):
                 records.append({
                     "position": doc.metadata.get("position"),
                     "doc_id": doc.doc_id,
                     "label": label if isinstance(label, str)
                     else list(label),
-                    "confidence": (round(float(confidence), 6)
-                                   if confidence is not None else None),
+                    "confidence": round(confidence, 6),
                     "topk": topk,
                     "model_gen": self.generation,
                 })
@@ -447,9 +443,7 @@ class Pipeline:
         return report
 
     def close(self) -> None:
-        if self._client is not None:
-            self._client.close()
-            self._client = None
+        self._client = None
 
     # -- status --------------------------------------------------------------
     def status(self) -> dict:

@@ -138,7 +138,7 @@ class ClassifyStage:
 
     ``client`` is an :class:`~repro.pipeline.clients.EngineClient`; its
     ``classify`` returns one ``(label, confidence, topk)`` triple per
-    document (confidence and topk are None for a model without scores).
+    document, all three from one score matrix.
     """
 
     name = "classify"

@@ -420,6 +420,15 @@ class ServableModel:
             return self.model.score(corpus)
         return self.model.predict_proba(corpus)
 
+    def predict_scored(self, docs) -> tuple:
+        """``(labels, scores)`` from one forward.
+
+        The labels are the model's own rule (``labels_from``) over the
+        matrix :meth:`scores` returns, so they equal :meth:`predict`.
+        """
+        scores = self.scores(docs)
+        return self.model.labels_from(scores), scores
+
     def warmup(self) -> None:
         """One throwaway predict so first real requests skip lazy init."""
         with obs.span("serve:warmup", method=self.manifest.get("method")):

@@ -5,7 +5,7 @@ Verbs::
     export    train a registered method on a catalog profile and publish it
     list      one row per published model (versions, method, labels)
     inspect   dump a model version's manifest as JSON
-    predict   classify documents through the micro-batching engine
+    predict   classify documents with one in-process predict call
     pool      serve a model over a multi-process replica pool + HTTP
     evict     delete a model version (or a whole model with --all)
 
@@ -36,7 +36,6 @@ from repro.core.exceptions import ReproError
 from repro.core.registry import method_registry
 from repro.datasets import available_profiles, load_profile
 from repro.evaluation.reporting import format_table
-from repro.serve.engine import ServeConfig, ServingEngine
 from repro.serve.http import PoolServer
 from repro.serve.pool import PoolConfig, ReplicaPool
 from repro.serve.registry import ModelRegistry, parse_ref
@@ -149,17 +148,15 @@ def _cmd_predict(args) -> int:
               file=sys.stderr)
         return 2
     loaded = registry.load(name, version, verify=not args.no_verify)
-    config = ServeConfig(max_batch_docs=args.batch, warmup=not args.no_warmup)
-    with ServingEngine(loaded, config) as engine:
-        start = time.time()
-        labels = engine.classify(docs, deadline_s=args.deadline)
-        elapsed = time.time() - start
-        stats = engine.stats()
+    if not args.no_warmup:
+        loaded.warmup()
+    start = time.time()
+    labels = loaded.predict(docs)
+    elapsed = time.time() - start
     for doc, label in zip(docs, labels):
         shown = label if isinstance(label, str) else ",".join(label)
         print(f"{shown}\t{doc[:70]}")
-    print(f"[{len(docs)} docs in {elapsed * 1000:.0f}ms, "
-          f"{stats['batches']} batch(es)]", file=sys.stderr)
+    print(f"[{len(docs)} docs in {elapsed * 1000:.0f}ms]", file=sys.stderr)
     return 0
 
 
@@ -270,10 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="document text (repeatable)")
     predict.add_argument("--file", default=None,
                          help="file with one document per line")
-    predict.add_argument("--batch", type=int, default=64,
-                         help="micro-batch document budget")
-    predict.add_argument("--deadline", type=float, default=None,
-                         help="per-request deadline in seconds")
     predict.add_argument("--no-verify", action="store_true",
                          help="skip artifact digest verification")
     predict.add_argument("--no-warmup", action="store_true",

@@ -458,13 +458,24 @@ def test_cache_prune_cli_reports_both_stores(tmp_path, monkeypatch, capsys):
     engine.RowMemo(dag_dir).put("live", {"metrics": {}, "seconds": 0.0})
     (dag_dir / "orphan.json").write_text(json.dumps(
         {"metrics": {}, "seconds": 0.0, "tree": "dead-digest"}))
+    # PLM archives live in one directory per shared source digest; only
+    # the current source's directory survives.
+    monkeypatch.setenv("REPRO_ENC_CACHE_DIR", str(tmp_path / "enc"))
+    plm_dir = tmp_path / "enc" / "plm"
+    live = plm_dir / dag.source_component(()) / "live.npz"
+    stale = plm_dir / "dead-digest" / "stale.npz"
+    for archive in (live, stale):
+        archive.parent.mkdir(parents=True)
+        archive.write_bytes(b"npz")
 
     assert cli.main(["cache-prune"]) == 0
     out = capsys.readouterr().out
     assert f"rows: removed 2 legacy row-memo entries ({tmp_path})" in out
     assert "dag:  kept 1, removed 1" in out
+    assert f"plm:  kept 1, removed 1 ({plm_dir})" in out
     assert not list(tmp_path.glob("*.json"))
     assert (dag_dir / "live.json").exists()
+    assert live.exists() and not stale.parent.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The acceptance contract of the ingestion subsystem:
 
 - a streamed corpus is ingested, deduped by content hash, sharded into
   the append-only store, and classified online through the serving
-  engine;
+  client (one model forward per chunk);
 - a forced drift event (novel post-drift vocabulary) triggers exactly
   one re-fit through the experiment engine, publishing a new registry
   version that is atomically picked up;
@@ -347,12 +347,9 @@ def test_scored_servable_topk_contract():
     class FakeServable:
         labels = ["a", "b", "c", "d"]
 
-        def predict(self, docs):
-            return ["b"] * len(docs)
-
-        def scores(self, docs):
+        def predict_scored(self, docs):
             # Tied scores: top-k order must fall back to class order.
-            return [[0.1, 0.7, 0.7, 0.2]] * len(docs)
+            return ["b"] * len(docs), [[0.1, 0.7, 0.7, 0.2]] * len(docs)
 
     preds = ScoredServable(FakeServable()).predict([["t"], ["t"]])
     assert len(preds) == 2
@@ -360,12 +357,48 @@ def test_scored_servable_topk_contract():
     assert label == "b" and confidence == pytest.approx(0.7)
     assert topk == [["b", 0.7], ["c", 0.7], ["d", 0.2]]
 
-    class ScorelessServable(FakeServable):
-        def scores(self, docs):
-            raise RuntimeError("no scores on this model")
 
-    preds = ScoredServable(ScorelessServable()).predict([["t"]])
-    assert preds == [("b", None, None)]
+def test_engine_client_runs_one_forward_per_chunk(agnews_small, tmp_path,
+                                                  monkeypatch):
+    from repro.methods import WeSTClass
+    from repro.pipeline.clients import EngineClient
+    from repro.serve.registry import ModelRegistry
+
+    model = WeSTClass(seed=0, **SMALL_KWARGS)
+    model.fit(agnews_small.train_corpus, agnews_small.keywords())
+    registry = ModelRegistry(tmp_path / "models")
+    version = registry.publish("counted", model)
+
+    calls = []
+    predict_proba = WeSTClass.predict_proba
+
+    def counted(self, corpus):
+        calls.append(len(corpus))
+        return predict_proba(self, corpus)
+
+    monkeypatch.setattr(WeSTClass, "predict_proba", counted)
+    client = EngineClient(registry, "counted", version, warmup=False)
+    docs = list(agnews_small.test_corpus[:20])
+    for chunk in (docs[:8], docs[8:16], docs[16:]):
+        assert len(client.classify(chunk)) == len(chunk)
+    # Labels, confidences and top-k all come from one forward per chunk.
+    assert calls == [8, 8, 4]
+
+
+def test_failing_forward_fails_the_run_typed_and_logs_nothing(tmp_path,
+                                                              monkeypatch):
+    from repro.methods import WeSTClass
+
+    def broken(self, corpus):
+        raise RuntimeError("forward exploded")
+
+    monkeypatch.setattr(WeSTClass, "_predict_proba", broken)
+    pipe = Pipeline(make_config(tmp_path))
+    with pytest.raises(PipelineError,
+                       match=r"s-westclass@v0001 failed: forward exploded"):
+        pipe.run()
+    assert pipe.model_version == 1
+    assert list(pipe.store.iter_predictions()) == []
 
 
 def test_drift_monitor_accepts_pairs_and_triples():

@@ -113,6 +113,40 @@ def test_artifact_externalizes_plm_weights(fitted_xclass, serve_bundle,
         np.testing.assert_array_equal(ours, theirs)
 
 
+def test_predict_scored_labels_equal_predict(fitted_westclass, serve_bundle,
+                                             tiny_plm, agnews_small,
+                                             tmp_path):
+    from repro.methods import MICoL
+
+    micol = MICoL(plm=tiny_plm, encoder="bi", seed=0)
+    micol.fit(agnews_small.train_corpus, agnews_small.label_names())
+    docs = serve_bundle.test_corpus.token_lists()[:20]
+    for name, model in (("flat", fitted_westclass), ("multi", micol)):
+        loaded = load_artifact(export_artifact(model, tmp_path / name))
+        assert loaded.multi_label == (name == "multi")
+        labels, scores = loaded.predict_scored(docs)
+        assert labels == loaded.predict(docs)
+        np.testing.assert_array_equal(scores, loaded.scores(docs))
+
+
+def test_no_registered_method_forks_the_label_rule():
+    # predict_scored derives labels with the base class's labels_from;
+    # a method overriding predict would fork that rule.
+    from repro.core.base import (
+        MultiLabelTextClassifier,
+        WeaklySupervisedTextClassifier,
+    )
+    from repro.core.registry import method_registry
+
+    bases = (WeaklySupervisedTextClassifier, MultiLabelTextClassifier)
+    for name, info in method_registry().items():
+        base = next((b for b in bases if issubclass(info.cls, b)), None)
+        assert base is not None, name
+        mro = info.cls.__mro__
+        below = mro[:mro.index(base)]
+        assert not [k for k in below if "predict" in vars(k)], name
+
+
 def test_export_refuses_unfitted_model(tmp_path):
     with pytest.raises(ArtifactError, match="unfitted"):
         export_artifact(WeSTClass(seed=0), tmp_path / "nope")
