@@ -324,9 +324,14 @@ class Pipeline:
         return vocabulary
 
     def _attach_client(self) -> None:
-        """On resume with a fitted model: pin the checkpointed version."""
-        if self._client is None and self.model_version is not None:
+        """Serve the pinned version: on resume, start a client for the
+        checkpointed one; after a failed reload, retry the switch."""
+        if self.model_version is None:
+            return
+        if self._client is None:
             self._client = self._start_client(self.model_version)
+        elif self._client.version != self.model_version:
+            self._client.reload(self.model_version)
 
     # -- classification ------------------------------------------------------
     def _classify(self, docs: list, started: "float | None" = None,
@@ -394,45 +399,41 @@ class Pipeline:
                                 model_version=self.model_version)
         start = time.perf_counter()
         self._attach_client()
-        try:
-            while max_batches is None or report.batches < max_batches:
-                batch_start = time.perf_counter() if track_latency else None
-                with obs.span("pipeline:batch", cursor=self.cursor):
-                    next_cursor, docs = self.source.read(
-                        self.cursor, config.batch_size)
-                    if not docs:
-                        report.exhausted = True
-                        break
-                    result = self.tokenize.process(docs)
-                    result = self.dedupe.process(result.docs)
-                    result = self.store_stage.process(result)
-                    self.cursor = next_cursor
-                    self.ingested += len(result.docs)
-                    self.deduped += result.dropped
-                    report.ingested += len(result.docs)
-                    report.deduped += result.dropped
-                    obs.count("pipeline.batches")
-                    if self.model_version is None:
-                        if self.store.docs >= config.bootstrap_docs:
-                            self._fit(reason="bootstrap")
-                            backlog = list(self.store.corpus())[
-                                self.classified:]
-                            self._classify(backlog, batch_start, report)
-                    elif result.docs:
-                        self._classify(result.docs, batch_start, report)
-                report.batches += 1
-                if report.batches % config.checkpoint_every == 0:
-                    self.checkpoint()
-            # A stream shorter than bootstrap_docs still gets its model.
-            if (report.exhausted and self.model_version is None
-                    and self.store.docs):
-                self._fit(reason="bootstrap")
-                backlog = list(self.store.corpus())[self.classified:]
-                self._classify(backlog, None, report)
-            if checkpoint_on_exit:
+        while max_batches is None or report.batches < max_batches:
+            batch_start = time.perf_counter() if track_latency else None
+            with obs.span("pipeline:batch", cursor=self.cursor):
+                next_cursor, docs = self.source.read(
+                    self.cursor, config.batch_size)
+                if not docs:
+                    report.exhausted = True
+                    break
+                result = self.tokenize.process(docs)
+                result = self.dedupe.process(result.docs)
+                result = self.store_stage.process(result)
+                self.cursor = next_cursor
+                self.ingested += len(result.docs)
+                self.deduped += result.dropped
+                report.ingested += len(result.docs)
+                report.deduped += result.dropped
+                obs.count("pipeline.batches")
+                if self.model_version is None:
+                    if self.store.docs >= config.bootstrap_docs:
+                        self._fit(reason="bootstrap")
+                        backlog = list(self.store.corpus())[self.classified:]
+                        self._classify(backlog, batch_start, report)
+                elif result.docs:
+                    self._classify(result.docs, batch_start, report)
+            report.batches += 1
+            if report.batches % config.checkpoint_every == 0:
                 self.checkpoint()
-        finally:
-            self.close()
+        # A stream shorter than bootstrap_docs still gets its model.
+        if (report.exhausted and self.model_version is None
+                and self.store.docs):
+            self._fit(reason="bootstrap")
+            backlog = list(self.store.corpus())[self.classified:]
+            self._classify(backlog, None, report)
+        if checkpoint_on_exit:
+            self.checkpoint()
         report.fits = self.fits
         report.refits = max(0, self.fits - 1)
         report.model_version = self.model_version
@@ -441,9 +442,6 @@ class Pipeline:
         if self.monitor is not None:
             report.drift_levels = self.monitor.levels()
         return report
-
-    def close(self) -> None:
-        self._client = None
 
     # -- status --------------------------------------------------------------
     def status(self) -> dict:

@@ -24,8 +24,10 @@ behind a least-loaded dispatcher in the parent:
   caller; a crashed worker fails its in-flight requests with
   :class:`~repro.core.exceptions.ServingError` and is removed from
   rotation (remaining replicas keep serving);
-- shutdown sends each worker a ``shutdown`` message behind the requests
-  already in its pipe, so every request resolves exactly once.
+- close stops admission, waits for admitted submits to finish writing
+  to their pipe, then sends each worker a ``shutdown`` message behind
+  the requests already in its pipe, so every accepted request resolves
+  exactly once and every later submit raises ``ServingError``.
 
 A worker answers each batch with the engine's own batch rule
 (:func:`~repro.serve.engine.serve_batch`: deadline check, one predict,
@@ -235,6 +237,8 @@ class ReplicaPool:
             verify_artifact(self.path, self.manifest)
         self._trace = obs.enabled()
         self._lock = threading.Lock()
+        self._sent = threading.Condition(self._lock)
+        self._sending = 0  # registered requests not yet in their pipe
         self._closed = False
         self._ids = itertools.count()
         self._stats = {"dispatched": 0, "completed": 0, "failed": 0,
@@ -383,6 +387,7 @@ class ReplicaPool:
                 )
             req_id = next(self._ids)
             replica.in_flight[req_id] = request
+            self._sending += 1
             replica.dispatched += 1
             self._stats["dispatched"] += 1
             busy = sum(1 for r in self._replicas if r.in_flight)
@@ -396,6 +401,11 @@ class ReplicaPool:
             self._complete(replica, req_id, error=ServingError(
                 f"replica {replica.index} pipe broke: {exc}"))
             raise request.error from exc
+        finally:
+            with self._lock:
+                self._sending -= 1
+                if not self._sending:
+                    self._sent.notify_all()
         return request
 
     def classify(self, docs, deadline_s: "float | None" = None,
@@ -435,11 +445,13 @@ class ReplicaPool:
         Safe to call twice and after worker crashes.
         """
         with self._lock:
-            already = self._closed
+            if self._closed:
+                return
             self._closed = True
             replicas = list(self._replicas)
-        if already:
-            return
+            # A submit registers under the lock but sends after it; wait
+            # for those sends, or shutdown could overtake one in the pipe.
+            self._sent.wait_for(lambda: not self._sending, timeout)
         for replica in replicas:
             if replica.alive:
                 try:

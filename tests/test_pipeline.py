@@ -401,6 +401,51 @@ def test_failing_forward_fails_the_run_typed_and_logs_nothing(tmp_path,
     assert list(pipe.store.iter_predictions()) == []
 
 
+def test_second_run_reuses_the_loaded_model(tmp_path):
+    from repro import obs
+
+    config = make_config(
+        tmp_path,
+        stream=StreamConfig(profile="agnews", seed=0, scale=0.4, n_docs=100),
+        drift=DriftPolicy(window=30, hist_threshold=None),
+        bootstrap_docs=48)
+    pipe = Pipeline(config)
+    obs.enable("pipeline-two-runs")
+    try:
+        first = pipe.run(max_batches=3)
+        second = pipe.run()
+        loads = obs.counter("serve.loads")
+    finally:
+        obs.disable()
+    assert first.fits == second.fits == 1
+    assert second.exhausted and second.classified > 0
+    assert loads == 1
+    assert pipe.store.docs == pipe.store.predictions
+
+
+def test_failed_reload_is_retried_by_the_next_run(tmp_path, monkeypatch):
+    from repro.pipeline.clients import EngineClient
+
+    reload = EngineClient.reload
+
+    def failing(self, version):
+        raise PipelineError(f"cannot load model v{version}")
+
+    monkeypatch.setattr(EngineClient, "reload", failing)
+    pipe = Pipeline(make_config(tmp_path))
+    with pytest.raises(PipelineError, match="cannot load model v2"):
+        pipe.run()
+    # The drift re-fit published v2, but v1 is still the one serving.
+    assert pipe.model_version == 2 and pipe._client.version == 1
+
+    monkeypatch.setattr(EngineClient, "reload", reload)
+    report = pipe.run()
+    assert report.exhausted
+    assert pipe._client.version == 2
+    generations = {r["model_gen"] for r in pipe.store.iter_predictions()}
+    assert generations == {0, 1}
+
+
 def test_drift_monitor_accepts_pairs_and_triples():
     # Scoreless models predict (label, None, None) triples; older
     # callers and tests pass bare pairs. Both must fold in.

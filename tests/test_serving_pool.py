@@ -39,6 +39,7 @@ from repro.serve import (
     ServingEngine,
     export_artifact,
 )
+from repro.serve import pool as pool_mod
 
 pytestmark = pytest.mark.serving
 
@@ -52,6 +53,24 @@ class SlowModel:
     def predict(self, docs):
         time.sleep(self.delay_s)
         return ["slow"] * len(docs)
+
+
+class CallCountModel:
+    """Picklable fake that answers with its own 1-based predict count."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def predict(self, docs):
+        self.calls += 1
+        return [self.calls] * len(docs)
+
+
+class TokenCountModel:
+    """Picklable fake: label = the document's token count."""
+
+    def predict(self, docs):
+        return [f"label-{len(doc)}" for doc in docs]
 
 
 class ThreadCountModel:
@@ -152,6 +171,80 @@ def test_pool_worker_is_a_single_thread(tmp_path):
     with ReplicaPool(path, config=PoolConfig(replicas=1,
                                              warmup=False)) as pool:
         assert pool.classify([["a"], ["b"]], timeout=60) == [1, 1]
+
+
+def test_pool_warmup_runs_before_traffic(tmp_path):
+    path = export_artifact(CallCountModel(), tmp_path / "calls")
+    # With warmup, each worker's one throwaway predict comes first.
+    for warmup, first in ((False, 1), (True, 2)):
+        with ReplicaPool(path, config=PoolConfig(replicas=1,
+                                                 warmup=warmup)) as pool:
+            assert pool.classify([["a"]], timeout=60) == [first]
+
+
+def test_pool_close_drain_resolves_every_accepted_request_exactly_once(
+        tmp_path, monkeypatch):
+    """Concurrent submitters racing ``ReplicaPool.close()``.
+
+    Every request the pool *accepted* must settle exactly once (no lost
+    futures, no double resolution), and every submit that loses the
+    race must raise the typed closed error rather than hang.
+    """
+    settlements = []  # every Request.resolve/fail call lands here
+
+    class AuditedRequest(pool_mod.Request):
+        __slots__ = ()
+
+        def resolve(self, result):
+            settlements.append(self)
+            super().resolve(result)
+
+        def fail(self, error):
+            settlements.append(self)
+            super().fail(error)
+
+    monkeypatch.setattr(pool_mod, "Request", AuditedRequest)
+    path = export_artifact(TokenCountModel(), tmp_path / "tokens")
+    pool = ReplicaPool(path, config=PoolConfig(replicas=1, warmup=False,
+                                               max_queue=100_000))
+    n_submitters = 4
+    accepted: list = []
+    closed_errors: list = []
+    barrier = threading.Barrier(n_submitters + 1)
+
+    def submitter():
+        barrier.wait()
+        while True:
+            try:
+                accepted.append(pool.submit([["tok"] * 3]))
+            except Overloaded:
+                continue
+            except ServingError as exc:
+                closed_errors.append(exc)
+                return
+
+    threads = [threading.Thread(target=submitter)
+               for _ in range(n_submitters)]
+    for t in threads:
+        t.start()
+    barrier.wait()
+    time.sleep(0.05)  # let the race build a backlog
+    pool.close()
+    for t in threads:
+        t.join(30)
+        assert not t.is_alive(), "submitter hung instead of erroring"
+
+    assert len(closed_errors) == n_submitters
+    assert all("closed" in str(exc) for exc in closed_errors)
+    assert accepted, "race produced no accepted requests"
+    # Exactly once: no request settles twice, every accepted one settles.
+    assert len({id(r) for r in settlements}) == len(settlements)
+    assert {id(r) for r in accepted} <= {id(r) for r in settlements}
+    # Drain means resolution, not failure, for every accepted request.
+    for request in accepted:
+        assert request.done()
+        assert request.wait(5) == ["label-3"]
+    assert pool.stats()["replica_deaths"] == 0
 
 
 # ---------------------------------------------------------------------------
