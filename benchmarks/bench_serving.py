@@ -9,8 +9,9 @@ artifact store, reloads it, and serves the same request stream two ways:
   :class:`~repro.serve.engine.ServingEngine`, whose micro-batcher
   coalesces requests into the PLM engine's length-bucketed batches.
 
-Both arms use a cache-less PLM facade and disjoint documents, so neither
-side is served from the encode cache — the measured gap is pure batching.
+Both arms serve the loaded artifact, whose PLM carries no encode cache,
+over disjoint documents, so every request truly encodes — the measured
+gap is pure batching.
 A final burst against a tiny queue demonstrates load shedding (typed
 ``Overloaded``, no deadlock).
 
@@ -43,7 +44,6 @@ from repro.evaluation.metrics import macro_f1
 from repro.experiments.runner import gold_single
 from repro.methods import XClass
 from repro.plm.config import PLMConfig
-from repro.plm.model import PretrainedLM
 from repro.plm.provider import get_pretrained_lm
 from repro.serve import ServeConfig, ServingEngine, export_artifact, load_artifact
 
@@ -75,8 +75,6 @@ def _build_servable(tmp_dir) -> "tuple":
                            provenance={"profile": "agnews", "seed": 0,
                                        "bench": "serving"})
     loaded = load_artifact(path)
-    # Cache-less facade: every request truly encodes, both arms.
-    loaded.model.plm = PretrainedLM(loaded.model.plm.encoder, enc_cache=None)
     requests = (bundle.test_corpus.token_lists()
                 + bundle.train_corpus.token_lists())[: 2 * N_REQUESTS]
     assert len(requests) == 2 * N_REQUESTS, "bundle too small for the bench"
@@ -152,8 +150,9 @@ def test_serving_engine_throughput(tmp_path):
     unbatched_docs, batched_docs = requests[:N_REQUESTS], requests[N_REQUESTS:]
 
     loaded.warmup()
-    # Best-of-3 per arm: the encoder is cache-less, so repeats re-encode;
-    # min-of-repeats just strips scheduler noise from the comparison.
+    # Best-of-3 per arm: the served PLM has no encode cache, so repeats
+    # re-encode; min-of-repeats just strips scheduler noise from the
+    # comparison.
     unbatched_s, unbatched_lat = min(
         (_run_unbatched(loaded, unbatched_docs) for _ in range(3)),
         key=lambda r: r[0])
@@ -260,10 +259,6 @@ def test_quantized_serving_speedup(tmp_path):
     arms = {}
     for key, path in (("float32", f32_path), ("int8", int8_path)):
         loaded = load_artifact(path)
-        # Cache-less facade (as above). The int8 load attached the packed
-        # forward to the encoder, so it carries over to the new facade.
-        loaded.model.plm = PretrainedLM(loaded.model.plm.encoder,
-                                        enc_cache=None)
         loaded.warmup()
         arms[key] = loaded
 

@@ -140,7 +140,9 @@ def load_plm(path: "str | Path") -> PretrainedLM:
 
     Quantized archives are dequantized deterministically back to the
     archive's compute dtype (pre-dtype-field archives fall back to the
-    stored arrays' dtype — npz preserves it). Raises
+    stored arrays' dtype — npz preserves it). The model carries no
+    encode cache: :mod:`repro.plm.provider` attaches one where documents
+    repeat. Raises
     :class:`ArtifactError` (naming ``path``) when the archive is corrupt,
     truncated, or missing expected entries.
     """
@@ -182,13 +184,8 @@ def load_plm(path: "str | Path") -> PretrainedLM:
         raise ArtifactError(
             f"PLM archive {path} does not match its manifest: {exc}"
         ) from exc
-    # The encode cache is content-addressed (weights digest), so a model
-    # round-tripped through disk shares cached encodings with its source.
-    from repro.plm.provider import shared_encode_cache
-
     if quantize is not None:
         # Quantized archives are predict-only and already non-bit-exact
         # with the trainer, so they run the packed forward.
         packed_encoder(encoder)
-    return PretrainedLM(encoder, enc_cache=shared_encode_cache(),
-                        seed=int(meta.get("seed", 0)))
+    return PretrainedLM(encoder, seed=int(meta.get("seed", 0)))

@@ -46,6 +46,9 @@ def shared_encode_cache() -> "EncodeCache | None":
     Built once from the environment (``REPRO_ENC_CACHE*``) and wired into
     every provider-constructed :class:`PretrainedLM`, so all methods that
     encode the same corpus through the same model share hidden states.
+    This module is the only one that wires it: a model loaded with
+    :func:`~repro.plm.io.load_plm` (a served artifact, say) encodes every
+    document it is given.
     """
     if not _ENC_CACHE:
         _ENC_CACHE.append(EncodeCache.from_env())
@@ -108,6 +111,9 @@ def _load_archive(archive: Path) -> "PretrainedLM | None":
     except ArtifactError:  # missing or unreadable: pre-train instead
         return None
     obs.count("plm.archive_loads")
+    # The cache is content-addressed (weights digest), so the loaded
+    # model shares cached encodings with the process that saved it.
+    plm.enc_cache = shared_encode_cache()
     return plm
 
 

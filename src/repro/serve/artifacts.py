@@ -107,7 +107,12 @@ class _ExportPickler(pickle.Pickler):
 
 
 class _ImportUnpickler(pickle.Unpickler):
-    """Unpickler resolving persistent ids back to freshly loaded PLMs."""
+    """Unpickler resolving persistent ids back to freshly loaded PLMs.
+
+    A pickled encode cache resolves to None: served requests are unique
+    documents, so caching their hidden states would only grow the
+    process.
+    """
 
     def __init__(self, file, plms: list):
         super().__init__(file)
@@ -118,9 +123,7 @@ class _ImportUnpickler(pickle.Unpickler):
         if kind == "repro.plm":
             return self._plms[index]
         if kind == "repro.enc_cache":
-            from repro.plm.provider import shared_encode_cache
-
-            return shared_encode_cache()
+            return None
         raise ArtifactError(f"unknown persistent id {pid!r} in artifact state")
 
 

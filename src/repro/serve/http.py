@@ -70,6 +70,9 @@ def _seconds(value) -> "float | None":
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # TCP_NODELAY: a small answer must not sit in the kernel waiting for
+    # the client's delayed ACK (a fixed ~40 ms per keep-alive request).
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; the pool CLI
     # owns the terminal, so stay quiet.
@@ -84,9 +87,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
+        # The status line, headers and body leave in one write, so no
+        # client's ACK timing can hold the body back behind the headers.
+        if self.request_version == "HTTP/0.9":  # no head, as in end_headers
+            self._headers_buffer = [body]
+        else:
+            self._headers_buffer.append(b"\r\n" + body)
         try:
-            self.wfile.write(body)
+            self.flush_headers()
         except (BrokenPipeError, ConnectionResetError):
             pass
 

@@ -95,6 +95,10 @@ def test_archive_is_loaded_instead_of_pretraining(fresh_provider, tmp_path,
     assert counts.get("plm.pretrains", 0) == 0
     assert counts.get("plm.archive_loads") == 1
     assert loaded.cache_namespace == built.cache_namespace
+    # The provider wires the shared cache into a loaded model too, so
+    # its encodings are shared with the process that saved the archive.
+    assert loaded.enc_cache is provider.shared_encode_cache()
+    assert loaded.enc_cache is built.enc_cache
 
 
 def test_unreadable_archive_is_rebuilt_not_fatal(fresh_provider, tmp_path,

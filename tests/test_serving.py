@@ -113,6 +113,26 @@ def test_artifact_externalizes_plm_weights(fitted_xclass, serve_bundle,
         np.testing.assert_array_equal(ours, theirs)
 
 
+def test_served_model_carries_no_encode_cache(fitted_xclass, serve_bundle,
+                                             tmp_path, monkeypatch):
+    # Served documents are unique, so a loaded artifact encodes every
+    # request and stores none of it; only the provider wires the cache.
+    from repro.core.enc_cache import EncodeCache
+    from repro.plm import provider
+
+    cache = EncodeCache()
+    monkeypatch.setattr(provider, "_ENC_CACHE", [cache])
+    loaded = load_artifact(export_artifact(fitted_xclass, tmp_path / "x"))
+    assert loaded.model.plm.enc_cache is None
+
+    docs = list(dict.fromkeys(
+        map(tuple, serve_bundle.test_corpus.token_lists()
+            + serve_bundle.train_corpus.token_lists())))[:200]
+    assert len(docs) == 200
+    loaded.predict([list(doc) for doc in docs])
+    assert cache.stats()["bytes"] == 0 and len(cache) == 0
+
+
 def test_predict_scored_labels_equal_predict(fitted_westclass, serve_bundle,
                                              tiny_plm, agnews_small,
                                              tmp_path):

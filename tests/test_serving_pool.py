@@ -18,6 +18,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -374,6 +375,73 @@ def test_http_bad_requests_are_400(http_server, xpool):
         assert payload["error"] == "bad-request"
     # Rejected before dispatch: no replica saw any of them.
     assert xpool.stats()["dispatched"] == dispatched
+
+
+class _InstantPool:
+    """Pool stand-in that answers at once: isolates the HTTP layer.
+
+    A request whose first document is ``["overload"]`` is shed, so the
+    429 path can be driven without a real backlog.
+    """
+
+    def classify(self, docs, deadline_s=None, timeout=None):
+        if docs[0] == ["overload"]:
+            raise Overloaded("stub pool is full")
+        return ["x"] * len(docs)
+
+
+def test_http_keepalive_round_trip_has_no_ack_stall():
+    # With Nagle on and the body in a second send, each keep-alive answer
+    # waited for the client's delayed ACK: a median of ~40 ms. Without
+    # the stall the round trip is well under a millisecond.
+    body = json.dumps({"docs": [["a", "b"]] * 8})
+    headers = {"Content-Type": "application/json"}
+    with PoolServer(_InstantPool(), port=0).start() as server:
+        conn = http.client.HTTPConnection(*server.address, timeout=60)
+        try:
+            rtts = []
+            for _ in range(50):
+                start = time.perf_counter()
+                conn.request("POST", "/classify", body=body, headers=headers)
+                resp = conn.getresponse()
+                assert json.loads(resp.read()) == {"labels": ["x"] * 8}
+                rtts.append(time.perf_counter() - start)
+
+            # Error replies leave in the same single write; the framing
+            # must hold, so the connection stays usable after them.
+            conn.request("POST", "/classify", body=b"{not json",
+                         headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert json.loads(resp.read())["error"] == "bad-request"
+
+            conn.request("POST", "/classify",
+                         body=json.dumps({"docs": [["overload"]]}),
+                         headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 429
+            assert resp.getheader("Retry-After") == "1"
+            assert json.loads(resp.read())["error"] == "overloaded"
+
+            conn.request("POST", "/classify", body=body, headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read()) == {"labels": ["x"] * 8}
+        finally:
+            conn.close()
+    rtts.sort()
+    assert rtts[len(rtts) // 2] < 0.010, rtts
+
+
+def test_http09_request_gets_a_bare_body(http_server):
+    # HTTP/0.9 has no status line or headers: the one write is the body.
+    # (The stdlib still reads a header block, so the blank line ends it.)
+    with socket.create_connection(http_server.address, timeout=60) as sock:
+        sock.sendall(b"GET /healthz\r\n\r\n")
+        data = b""
+        while chunk := sock.recv(4096):
+            data += chunk
+    assert json.loads(data) == {"status": "ok", "alive": 2}
 
 
 def test_http_backpressure_maps_to_429_and_504(tmp_path):
