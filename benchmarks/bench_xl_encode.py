@@ -3,7 +3,7 @@
 Encodes the 10x ``agnews_xl`` training corpus (4800 documents at full
 scale) through an :class:`~repro.core.enc_cache.EncodeCache` whose
 memory tier is capped far below the corpus's hidden-state footprint,
-with the mmap shard tier (``shard_docs``) taking the spill:
+with the mmap shard disk tier taking the spill:
 
 - **cold** — every document encodes through the PLM engine and streams
   into shards of ``SHARD_DOCS`` concatenated documents;
@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from repro.core.enc_cache import EncodeCache
+from repro.core.enc_cache import SHARD_DOCS, EncodeCache
 from repro.datasets import load_profile
 from repro.plm.config import PLMConfig
 from repro.plm.model import PretrainedLM
@@ -33,7 +33,6 @@ from conftest import write_bench_artifact
 
 PROFILE = "agnews_xl"
 MAX_BYTES = 1 << 20  # 1 MB memory tier vs an ~18 MB hidden-state corpus
-SHARD_DOCS = 256
 
 # Warm floor: shard hits replace encoder forwards with mmap slices, so
 # the achievable ratio tracks the host's jitter like the warm floor in
@@ -52,8 +51,7 @@ def test_xl_encode_through_shards(tmp_path):
                        mlm_steps=150, pretrain_docs=700)
     base = get_pretrained_lm(target_corpus=bundle.train_corpus, config=config,
                              seed=0)
-    cache = EncodeCache(max_bytes=MAX_BYTES, disk_dir=tmp_path,
-                        shard_docs=SHARD_DOCS)
+    cache = EncodeCache(max_bytes=MAX_BYTES, disk_dir=tmp_path)
     plm = PretrainedLM(base.encoder, enc_cache=cache)
     docs = bundle.train_corpus.token_lists()
 
@@ -95,13 +93,13 @@ def test_xl_encode_through_shards(tmp_path):
           f"-> {cold_s / warm_s:.1f}x (floor {min_warm}x)")
     print(f"  memory tier {cache.nbytes} / {MAX_BYTES} bytes; "
           f"{len(shard_files)} shards holding {shard_bytes} bytes "
-          f"({stats['shard_hits']} shard hits)")
+          f"({stats['disk_hits']} disk hits)")
 
     # The whole point: the corpus streams through a memory tier it could
     # never fit in, and comes back bit-identical off the shards.
     assert cache.nbytes <= MAX_BYTES, report
     assert shard_bytes > MAX_BYTES, report
-    assert stats["shard_hits"] > 0, report
+    assert stats["disk_hits"] > 0, report
     np.testing.assert_array_equal(cold, warm)
     assert cold_s / warm_s >= min_warm, report
 

@@ -15,15 +15,15 @@ Two tiers:
   evicting everything else is itself dropped from the memory tier, so
   ``nbytes`` never exceeds ``max_bytes``;
 - an optional on-disk tier (``REPRO_ENC_CACHE_DIR`` or the ``disk_dir``
-  argument). By default this is one ``.npz`` per document, and disk hits
-  are promoted back into memory. With ``shard_docs > 0``
-  (``REPRO_ENC_CACHE_SHARD_DOCS``) documents are instead appended to
-  **mmap shards**: flat ``.npy`` files of ``shard_docs`` concatenated
-  documents with a JSON offset index alongside. Shard hits are served as
-  zero-copy ``np.load(..., mmap_mode="r")`` slice views and are *not*
-  promoted into the memory tier — the OS page cache already holds the
-  hot pages, so an XL corpus can stream through a small memory budget
-  without thrashing the LRU.
+  argument) of **mmap shards**: each namespace is one directory of flat
+  ``.npy`` files of up to :data:`SHARD_DOCS` concatenated documents, each
+  with a JSON offset index alongside. Disk hits are served as zero-copy
+  ``np.load(..., mmap_mode="r")`` slice views and are *not* promoted
+  into the memory tier — the OS page cache already holds the hot pages,
+  so an XL corpus can stream through a small memory budget without
+  thrashing the LRU. A shard is written every :data:`SHARD_DOCS` puts,
+  on :meth:`EncodeCache.flush_shards`, and for the pending tail when the
+  cache is collected or its process exits, so a ``put`` outlives it.
 
 Set ``REPRO_ENC_CACHE=0`` to disable the cache entirely (the provider then
 wires no cache into the models it builds).
@@ -35,6 +35,8 @@ import hashlib
 import json
 import os
 import threading
+import uuid
+import weakref
 from collections import OrderedDict
 from pathlib import Path
 
@@ -44,6 +46,9 @@ from repro import obs
 from repro.core import env as _env
 
 _DEFAULT_MAX_BYTES = 256 << 20
+
+#: Documents per mmap disk shard.
+SHARD_DOCS = 256
 
 
 def doc_key(ids: np.ndarray) -> str:
@@ -65,33 +70,82 @@ def array_digest(arrays: list, extra: str = "") -> str:
     return h.hexdigest()
 
 
+def _write_shard(directory: Path, pending: list) -> None:
+    """Write ``(key, array)`` pairs as one mmap shard plus its index."""
+    arrays = [np.ascontiguousarray(value) for _, value in pending]
+    dtype = np.dtype(arrays[0].dtype)
+    flat = np.concatenate(
+        [a.reshape(-1).astype(dtype, copy=False) for a in arrays]
+    )
+    index: dict = {"dtype": str(dtype), "docs": {}}
+    offset = 0
+    for (key, _), array in zip(pending, arrays):
+        index["docs"][key] = [offset, list(array.shape)]
+        offset += array.size
+    directory.mkdir(parents=True, exist_ok=True)
+    # A fresh name per shard: readers map offsets by file name, so a
+    # shard must never be replaced by another one (pids get reused).
+    stem = f"shard_{uuid.uuid4().hex}"
+    data_path = directory / f"{stem}.npy"
+    tmp_data = directory / f"{stem}.tmp.npy"
+    np.save(tmp_data, flat)
+    tmp_data.replace(data_path)
+    # The data file lands before its index: readers discover shards
+    # through .idx.json files, so a crash between the two renames
+    # leaves an orphaned (ignored) .npy, never a dangling index.
+    idx_path = directory / f"{stem}.idx.json"
+    tmp_idx = directory / f"{stem}.tmp.idx.json"
+    tmp_idx.write_text(json.dumps(index))
+    tmp_idx.replace(idx_path)
+    obs.count("enc_cache.shards_written")
+
+
+def _flush_pending(disk_dir: "Path | None", pending: dict) -> None:
+    """Write (and forget) every namespace's pending documents."""
+    while pending:
+        namespace, docs = pending.popitem()
+        _write_shard(disk_dir / namespace, docs)
+
+
+def _flush_at_exit(disk_dir: Path, pending: dict) -> None:
+    # A cache root deleted while the process ran stays deleted: the
+    # tail is dropped, not written into a recreated tree.
+    try:
+        if disk_dir.is_dir():
+            _flush_pending(disk_dir, pending)
+    except OSError:
+        pass  # a cache: an unwritten tail only costs a re-encode
+
+
 class EncodeCache:
     """Bounded LRU over per-document arrays with an optional disk tier."""
 
     def __init__(self, max_bytes: int = _DEFAULT_MAX_BYTES,
-                 disk_dir: "str | Path | None" = None,
-                 shard_docs: int = 0):
+                 disk_dir: "str | Path | None" = None):
         self.max_bytes = int(max_bytes)
         self.disk_dir = Path(disk_dir) if disk_dir else None
-        self.shard_docs = int(shard_docs)
         self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._bytes = 0
-        # Sharding state: docs awaiting flush, the per-namespace shard
+        # Shard state: docs awaiting flush, the per-namespace shard
         # offset index, which .idx.json files were already folded in,
-        # and this process's next shard sequence number.
+        # the open mmaps and the directory-mtime memo.
         self._pending: "dict[str, list]" = {}
         self._shard_index: "dict[str, dict]" = {}
         self._scanned: "dict[str, set]" = {}
         self._mmaps: "dict[str, np.ndarray]" = {}
         self._dir_state: "dict[str, int]" = {}
         self._scan_lock = threading.Lock()
-        self._shard_seq = 0
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self.shard_hits = 0
         self.evictions = 0
         self.rescans = 0
+        if self.disk_dir is not None:
+            self.disk_dir.mkdir(parents=True, exist_ok=True)
+            # Runs on collection and at interpreter exit (spawn workers
+            # included): a tail shorter than SHARD_DOCS still reaches disk.
+            weakref.finalize(self, _flush_at_exit, self.disk_dir,
+                             self._pending)
 
     @classmethod
     def from_env(cls) -> "EncodeCache | None":
@@ -99,13 +153,7 @@ class EncodeCache:
         if not _env.enc_cache_enabled():
             return None
         return cls(max_bytes=_env.enc_cache_bytes(_DEFAULT_MAX_BYTES),
-                   disk_dir=_env.enc_cache_dir(),
-                   shard_docs=_env.enc_cache_shard_docs())
-
-    @property
-    def sharded(self) -> bool:
-        """Whether the disk tier writes mmap shards instead of per-doc npz."""
-        return self.disk_dir is not None and self.shard_docs > 0
+                   disk_dir=_env.enc_cache_dir())
 
     # -- lookup ---------------------------------------------------------------
     def get(self, namespace: str, key: str) -> "np.ndarray | None":
@@ -113,56 +161,30 @@ class EncodeCache:
         entry = self._entries.get((namespace, key))
         if entry is not None:
             self._entries.move_to_end((namespace, key))
-            self.hits += 1
-            obs.count("enc_cache.hits")
-            return entry
-        if self.sharded:
+        elif self.disk_dir is not None:
             entry = self._shard_get(namespace, key)
             if entry is not None:
                 # Served straight off the mmap: no promotion, the page
                 # cache is the warm tier for shard-resident documents.
-                self.hits += 1
                 self.disk_hits += 1
-                self.shard_hits += 1
-                obs.count("enc_cache.hits")
-                obs.count("enc_cache.shard_hits")
-                return entry
-        if self.disk_dir is not None:
-            path = self._disk_path(namespace, key)
-            if path.exists():
-                try:
-                    with np.load(path) as payload:
-                        entry = payload["hidden"]
-                except (OSError, ValueError, KeyError):
-                    entry = None  # partial/corrupt file: treat as a miss
-                if entry is not None:
-                    self.hits += 1
-                    self.disk_hits += 1
-                    obs.count("enc_cache.hits")
-                    obs.count("enc_cache.disk_hits")
-                    self._insert(namespace, key, entry)
-                    return entry
-        self.misses += 1
-        obs.count("enc_cache.misses")
-        return None
+                obs.count("enc_cache.disk_hits")
+        if entry is None:
+            self.misses += 1
+            obs.count("enc_cache.misses")
+            return None
+        self.hits += 1
+        obs.count("enc_cache.hits")
+        return entry
 
     def put(self, namespace: str, key: str, value: np.ndarray) -> None:
         """Insert ``value``, evicting least-recently-used entries over budget."""
         self._insert(namespace, key, value)
-        if self.sharded:
+        if self.disk_dir is not None:
             pending = self._pending.setdefault(namespace, [])
             pending.append((key, value))
-            if len(pending) >= self.shard_docs:
-                self._flush_namespace(namespace)
-        elif self.disk_dir is not None:
-            path = self._disk_path(namespace, key)
-            if not path.exists():
-                path.parent.mkdir(parents=True, exist_ok=True)
-                # Process-unique tmp name: two workers putting the same
-                # key must not rename each other's file away.
-                tmp = path.with_name(f".{key}.{os.getpid()}.tmp.npz")
-                np.savez(tmp, hidden=value)
-                tmp.replace(path)
+            if len(pending) >= SHARD_DOCS:
+                _write_shard(self.disk_dir / namespace,
+                             self._pending.pop(namespace))
 
     def _insert(self, namespace: str, key: str, value: np.ndarray) -> None:
         full_key = (namespace, key)
@@ -170,10 +192,10 @@ class EncodeCache:
         if previous is not None:
             self._bytes -= previous.nbytes
         if value.nbytes > self.max_bytes:
-            # The value alone exceeds the whole budget (e.g. an oversized
-            # disk-hit promotion): admitting it would flush every other
-            # entry and still leave nbytes over max_bytes. The caller
-            # already holds the array (and a disk copy may exist), so the
+            # The value alone exceeds the whole budget (e.g. one long
+            # document): admitting it would flush every other entry and
+            # still leave nbytes over max_bytes. The caller already holds
+            # the array (and the disk tier may keep a copy), so the
             # memory tier just declines it — max_bytes is a hard ceiling.
             self.evictions += 1
             return
@@ -184,55 +206,14 @@ class EncodeCache:
             self._bytes -= evicted.nbytes
             self.evictions += 1
 
-    def _disk_path(self, namespace: str, key: str) -> Path:
-        assert self.disk_dir is not None
-        return self.disk_dir / namespace / f"{key}.npz"
-
     # -- mmap shards -----------------------------------------------------------
-    def _flush_namespace(self, namespace: str) -> None:
-        """Write ``namespace``'s pending docs as one mmap shard + index."""
-        pending = self._pending.get(namespace) or []
-        if not pending:
-            return
-        self._pending[namespace] = []
-        arrays = [np.ascontiguousarray(value) for _, value in pending]
-        dtype = np.dtype(arrays[0].dtype)
-        flat = np.concatenate(
-            [a.reshape(-1).astype(dtype, copy=False) for a in arrays]
-        )
-        index: dict = {"dtype": str(dtype), "docs": {}}
-        offset = 0
-        for (key, _), array in zip(pending, arrays):
-            index["docs"][key] = [offset, list(array.shape)]
-            offset += array.size
-        directory = self.disk_dir / namespace
-        directory.mkdir(parents=True, exist_ok=True)
-        stem = f"shard_{os.getpid()}_{self._shard_seq}"
-        self._shard_seq += 1
-        data_path = directory / f"{stem}.npy"
-        tmp_data = directory / f"{stem}.tmp.npy"
-        np.save(tmp_data, flat)
-        tmp_data.replace(data_path)
-        # The data file lands before its index: readers discover shards
-        # through .idx.json files, so a crash between the two renames
-        # leaves an orphaned (ignored) .npy, never a dangling index.
-        idx_path = directory / f"{stem}.idx.json"
-        tmp_idx = directory / f"{stem}.tmp.idx.json"
-        tmp_idx.write_text(json.dumps(index))
-        tmp_idx.replace(idx_path)
-        obs.count("enc_cache.shards_written")
-
     def flush_shards(self) -> None:
         """Flush every namespace's pending documents to disk shards."""
-        if not self.sharded:
-            return
-        for namespace in list(self._pending):
-            self._flush_namespace(namespace)
+        _flush_pending(self.disk_dir, self._pending)
 
     def _shard_get(self, namespace: str, key: str) -> "np.ndarray | None":
         """Mmap-backed view of ``key`` from the namespace's shards."""
-        docs = self._shard_index.get(namespace, {})
-        location = docs.get(key)
+        location = self._shard_index.get(namespace, {}).get(key)
         if location is None:
             self._rescan_shards(namespace)
             location = self._shard_index.get(namespace, {}).get(key)
@@ -325,7 +306,6 @@ class EncodeCache:
             "hits": self.hits,
             "misses": self.misses,
             "disk_hits": self.disk_hits,
-            "shard_hits": self.shard_hits,
             "evictions": self.evictions,
             "rescans": self.rescans,
         }

@@ -21,7 +21,6 @@ Knob inventory
 ``REPRO_ENC_CACHE``             ``0`` disables the encode cache
 ``REPRO_ENC_CACHE_BYTES``       encode-cache memory-tier budget (``>= 0``)
 ``REPRO_ENC_CACHE_DIR``         encode-cache disk tier location
-``REPRO_ENC_CACHE_SHARD_DOCS``  docs per mmap disk shard (``0`` = off)
 ``REPRO_ENGINE_TOKEN_BUDGET``   padded tokens per inference batch (``>= 0``)
 ``REPRO_MODEL_DIR``             model-registry root (``repro.serve``)
 ``REPRO_CORPUS_DIR``            streaming corpus-store root (``repro.pipeline``)
@@ -150,11 +149,6 @@ def enc_cache_bytes(default: int) -> int:
 def enc_cache_dir() -> "Path | None":
     """Encode-cache disk tier (``REPRO_ENC_CACHE_DIR``; None = memory only)."""
     return env_path("REPRO_ENC_CACHE_DIR")
-
-
-def enc_cache_shard_docs() -> int:
-    """Docs per mmap disk shard (``REPRO_ENC_CACHE_SHARD_DOCS``; 0 = off)."""
-    return max(0, env_int("REPRO_ENC_CACHE_SHARD_DOCS", 0))
 
 
 def engine_token_budget() -> "int | None":

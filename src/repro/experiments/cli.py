@@ -18,9 +18,9 @@ shares their corpus/encode nodes, warm re-runs reuse every node from the
 artifact store, and ``--select`` forces just the named subgraph to
 recompute (``table.row`` for one row node, ``+node`` to include its
 ancestors, ``node+`` its dependents). The ``[dag]`` footer reports
-reused-vs-executed node counts. ``cache-prune`` sweeps DAG artifacts
-and PLM archives left behind by old source trees, plus any leftover
-row-memo files of the retired flat row engine.
+reused-vs-executed node counts. ``cache-prune`` sweeps DAG artifacts,
+PLM archives and encode-cache hidden states left behind by old source
+trees, plus any leftover row-memo files of the retired flat row engine.
 
 ``--trace DIR`` (or ``REPRO_TRACE=DIR``) records the run through
 :mod:`repro.obs` and writes ``DIR/trace_<experiment>.jsonl``; render it
@@ -30,6 +30,7 @@ with ``python -m repro.obs.report DIR/trace_<experiment>.jsonl``.
 from __future__ import annotations
 
 import argparse
+import re
 import shutil
 import sys
 import time
@@ -37,9 +38,14 @@ from pathlib import Path
 
 from repro import obs
 from repro.core import env as _env
+from repro.core.exceptions import ArtifactError
 from repro.evaluation.reporting import format_table
 from repro.experiments import engine, figures, scheduler, tables
 from repro.experiments.dag import ArtifactGraph, source_component
+from repro.plm.io import load_plm
+
+#: An encode-cache namespace's directory name (``array_digest``).
+_NAMESPACE = re.compile(r"[0-9a-f]{32}")
 
 TABLES = {
     "westclass": (tables.westclass_table, "WeSTClass results table"),
@@ -92,17 +98,17 @@ def _dag_footer() -> "str | None":
 
 
 def _prune_plm_archives(plm_dir: Path) -> tuple:
-    """``(kept, removed)`` PLM archives under ``plm_dir``.
+    """``(kept archive paths, removed count)`` under ``plm_dir``.
 
     Archives live in one directory per shared source digest
     (:func:`repro.experiments.tables._plm_archive`), so everything but
     the current source's directory is dead and goes.
     """
     live = source_component(())
-    kept = removed = 0
+    kept, removed = [], 0
     for path in sorted(plm_dir.glob("*")):
         if path.name == live:
-            kept += len(list(path.glob("*.npz")))
+            kept += sorted(path.glob("*.npz"))
         elif path.is_dir():
             removed += len(list(path.rglob("*.npz")))
             shutil.rmtree(path, ignore_errors=True)
@@ -112,9 +118,37 @@ def _prune_plm_archives(plm_dir: Path) -> tuple:
     return kept, removed
 
 
+def _prune_hidden_states(enc_dir: Path, archives: list) -> tuple:
+    """``(kept, removed)`` encode-cache namespace directories.
+
+    A namespace is one PLM's directory of hidden-state shards, named by
+    its ``cache_namespace``. Only the kept archives' models are live;
+    every other namespace goes (a wrong sweep only costs a re-encode).
+    """
+    live = set()
+    for archive in archives:
+        try:
+            live.add(load_plm(archive).cache_namespace)
+        except ArtifactError:
+            continue  # unreadable: the next run pre-trains it again
+    kept = removed = 0
+    for path in sorted(enc_dir.glob("*")):
+        # enc_dir is user-set and may hold other data: touch only
+        # digest-named directories of shards.
+        if not (_NAMESPACE.fullmatch(path.name)
+                and any(path.glob("shard_*"))):
+            continue
+        if path.name in live:
+            kept += 1
+        else:
+            removed += 1
+            shutil.rmtree(path, ignore_errors=True)
+    return kept, removed
+
+
 def _cache_prune(seed: int, fast: bool) -> int:
-    """Sweep dead entries from the row-cache root, the DAG store and the
-    PLM archives.
+    """Sweep dead entries from the row-cache root, the DAG store, the
+    PLM archives and the encode cache's hidden states.
 
     Top-level ``*.json`` files under the row-cache root are row-memo
     entries of the retired flat row engine: no code reads them, so all
@@ -123,8 +157,8 @@ def _cache_prune(seed: int, fast: bool) -> int:
     graphs — the scoped-digest scheme means a method edit re-addresses
     only that method's subgraph, so untouched nodes' artifacts stay live
     across source changes and must not be swept. PLM archives survive
-    only under the current shared source digest. The encode cache's
-    hidden-state entries are not swept.
+    only under the current shared source digest, and the encode cache's
+    hidden states only under the namespace of a surviving archive.
     """
     graph_digests: "set[str]" = set()
     for build in tables.REQUESTS.values():
@@ -145,10 +179,12 @@ def _cache_prune(seed: int, fast: bool) -> int:
         keep_keys=graph_digests)
     print(f"rows: removed {removed_rows} legacy row-memo entries ({rows_dir})")
     print(f"dag:  kept {kept_dag}, removed {removed_dag} ({dag_dir})")
-    plm_dir = (_env.enc_cache_dir()
-               or engine._enc_cache_dir_for(rows_dir)) / "plm"
-    kept_plm, removed_plm = _prune_plm_archives(plm_dir)
-    print(f"plm:  kept {kept_plm}, removed {removed_plm} ({plm_dir})")
+    enc_dir = _env.enc_cache_dir() or engine._enc_cache_dir_for(rows_dir)
+    plm_dir = enc_dir / "plm"
+    archives, removed_plm = _prune_plm_archives(plm_dir)
+    print(f"plm:  kept {len(archives)}, removed {removed_plm} ({plm_dir})")
+    kept_enc, removed_enc = _prune_hidden_states(enc_dir, archives)
+    print(f"enc:  kept {kept_enc}, removed {removed_enc} ({enc_dir})")
     return 0
 
 

@@ -17,10 +17,7 @@ shapes the encoder spends 30-60% of its wall clock outside BLAS.
   and the attention-weighted value sum run as one hand-written numpy
   pass with in-place exp/normalize, mirroring the op order of the fused
   kernels in :mod:`repro.nn.functional` so outputs agree with the
-  Tensor path to float32 ulp;
-- **cache-blocked scores** — query rows are processed in blocks of
-  ``BLOCK_ROWS`` (128), so the (T, T) score matrix never exceeds
-  (block, T) per head and stays cache-resident for long sequences.
+  Tensor path to float32 ulp.
 
 The packed path is *inference-only*: it never records gradients, never
 stores attention maps, and assumes frozen weights (the same contract as
@@ -42,9 +39,6 @@ from repro.plm.encoder import TransformerEncoder
 #: Finite stand-in for -inf in masked softmax (matches nn.functional).
 _MASK_FILL = -1e9
 
-#: Query-block height for the cache-blocked attention score kernel.
-BLOCK_ROWS = 128
-
 
 class PackedEncoder:
     """Contiguous-weight, fused-kernel view of a frozen encoder.
@@ -55,13 +49,12 @@ class PackedEncoder:
     encoder without building a single Tensor.
     """
 
-    def __init__(self, encoder: TransformerEncoder, block: "int | None" = None):
+    def __init__(self, encoder: TransformerEncoder):
         config = encoder.config
         self.dim = config.dim
         self.n_heads = config.n_heads
         self.head_dim = config.dim // config.n_heads
         self.max_len = config.max_len
-        self.block = int(block) if block else BLOCK_ROWS
         self.token_table = encoder.token_embedding.weight.data
         self.position_table = encoder.position_embedding.weight.data
         self.final_norm = (encoder.final_norm.gain.data,
@@ -120,7 +113,7 @@ class PackedEncoder:
 
     def _attention(self, hidden: np.ndarray, layer: tuple,
                    key_mask: "np.ndarray | None") -> np.ndarray:
-        """Fused QKV -> blocked scores -> masked softmax -> value sum."""
+        """Fused QKV -> scaled scores -> masked softmax -> value sum."""
         batch, seq, dim = hidden.shape
         heads, head_dim = self.n_heads, self.head_dim
         qkv = hidden.reshape(batch * seq, dim) @ layer[1]
@@ -132,19 +125,15 @@ class PackedEncoder:
         )
         q, k, v = qkv[0], qkv[1], qkv[2]
         scale = 1.0 / float(np.sqrt(head_dim))
-        keys_t = k.swapaxes(-1, -2)
-        context = np.empty_like(q)
-        for start in range(0, seq, self.block):
-            stop = min(start + self.block, seq)
-            scores = q[:, :, start:stop] @ keys_t
-            scores *= scale
-            if key_mask is not None:
-                np.copyto(scores, _MASK_FILL,
-                          where=np.broadcast_to(key_mask, scores.shape))
-            scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-            context[:, :, start:stop] = scores @ v
+        scores = q @ k.swapaxes(-1, -2)
+        scores *= scale
+        if key_mask is not None:
+            np.copyto(scores, _MASK_FILL,
+                      where=np.broadcast_to(key_mask, scores.shape))
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+        context = scores @ v
         context = context.transpose(0, 2, 1, 3).reshape(batch * seq, dim)
         out = context @ layer[3]
         out += layer[4]

@@ -444,8 +444,10 @@ def test_prune_keep_keys_pin_entries_across_trees(tmp_path):
     assert not (tmp_path / "doomed.json").exists()
 
 
-def test_cache_prune_cli_reports_both_stores(tmp_path, monkeypatch, capsys):
+def test_cache_prune_cli_reports_both_stores(tmp_path, monkeypatch, capsys,
+                                            tiny_plm):
     from repro.experiments import cli
+    from repro.plm.io import save_plm
 
     monkeypatch.setenv("REPRO_ROW_CACHE_DIR", str(tmp_path))
     # Row-memo files at the row-cache root are unreadable by any code,
@@ -460,22 +462,40 @@ def test_cache_prune_cli_reports_both_stores(tmp_path, monkeypatch, capsys):
         {"metrics": {}, "seconds": 0.0, "tree": "dead-digest"}))
     # PLM archives live in one directory per shared source digest; only
     # the current source's directory survives.
-    monkeypatch.setenv("REPRO_ENC_CACHE_DIR", str(tmp_path / "enc"))
-    plm_dir = tmp_path / "enc" / "plm"
+    enc_dir = tmp_path / "enc"
+    monkeypatch.setenv("REPRO_ENC_CACHE_DIR", str(enc_dir))
+    plm_dir = enc_dir / "plm"
     live = plm_dir / dag.source_component(()) / "live.npz"
     stale = plm_dir / "dead-digest" / "stale.npz"
     for archive in (live, stale):
         archive.parent.mkdir(parents=True)
-        archive.write_bytes(b"npz")
+    save_plm(tiny_plm, live)
+    stale.write_bytes(b"npz")
+    # Hidden-state namespaces survive only when a kept archive's model
+    # owns them.
+    live_ns = enc_dir / tiny_plm.cache_namespace
+    stale_ns = enc_dir / ("0" * 32)
+    for namespace in (live_ns, stale_ns):
+        namespace.mkdir()
+        (namespace / "shard_0.idx.json").write_text("{}")
+    # The cache directory is user-set and may hold data the cache does
+    # not own: a directory that is not a namespace of shards survives.
+    foreign = [enc_dir / "rows", enc_dir / ("1" * 32)]
+    for directory in foreign:
+        directory.mkdir()
+        (directory / "keep.json").write_text("{}")
 
     assert cli.main(["cache-prune"]) == 0
     out = capsys.readouterr().out
     assert f"rows: removed 2 legacy row-memo entries ({tmp_path})" in out
     assert "dag:  kept 1, removed 1" in out
     assert f"plm:  kept 1, removed 1 ({plm_dir})" in out
+    assert f"enc:  kept 1, removed 1 ({enc_dir})" in out
     assert not list(tmp_path.glob("*.json"))
     assert (dag_dir / "live.json").exists()
     assert live.exists() and not stale.parent.exists()
+    assert live_ns.exists() and not stale_ns.exists()
+    assert all((directory / "keep.json").exists() for directory in foreign)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,12 @@ def test_cold_parallel_graph_pretrains_once_per_key(cold_taxogen):
     # and the other worker loads the archive for its rows.
     assert counts.get("plm.pretrains") == 1
     assert counts.get("plm.archive_loads", 0) >= 1
-    assert len(list((cache_dir.parent / "enc" / "plm").glob("*/*.npz"))) == 1
+    store = cache_dir.parent / "enc"
+    assert len(list((store / "plm").glob("*/*.npz"))) == 1
+    # Hidden states live in mmap shards, one directory per namespace;
+    # no per-document .npz files sit beside them.
+    assert list(store.glob("*/shard_*.idx.json"))
+    assert not list(store.glob("*/*.npz"))
 
 
 def test_dirty_select_of_a_plm_row_runs_no_pretraining(cold_taxogen,

@@ -295,6 +295,7 @@ def test_cache_disk_tier_roundtrip(tmp_path):
     cache = EncodeCache(disk_dir=tmp_path)
     value = np.arange(12.0).reshape(3, 4)
     cache.put("ns", "doc", value)
+    cache.flush_shards()
     fresh = EncodeCache(disk_dir=tmp_path)  # cold memory tier, warm disk
     got = fresh.get("ns", "doc")
     np.testing.assert_array_equal(got, value)
