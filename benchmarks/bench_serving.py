@@ -22,6 +22,9 @@ counts) next to this file.
 A second bench serves the same fitted model from a float32 artifact and
 an int8 quantized artifact (which loads with the packed predict-only
 forward) over identical near-``max_len`` single-document request streams.
+Int8 weights are dequantized to float32 when the archive loads, so both
+arms multiply float32 weights: the int8 arm's speedup is the packed
+forward's against the Tensor forward, not int8 arithmetic.
 Arms are interleaved across rounds and compared on per-arm minima, so
 scheduler noise hits both sides equally; the speedup floor is
 host-calibrated via :mod:`hostcal` and capped at

@@ -21,7 +21,7 @@ Knob inventory
 ``REPRO_ENC_CACHE``             ``0`` disables the encode cache
 ``REPRO_ENC_CACHE_BYTES``       encode-cache memory-tier budget (``>= 0``)
 ``REPRO_ENC_CACHE_DIR``         encode-cache disk tier location
-``REPRO_ENGINE_TOKEN_BUDGET``   padded tokens per inference batch (``>= 0``)
+``REPRO_ENGINE_TOKEN_BUDGET``   memory cap, padded tokens per batch (``>= 0``)
 ``REPRO_MODEL_DIR``             model-registry root (``repro.serve``)
 ``REPRO_CORPUS_DIR``            streaming corpus-store root (``repro.pipeline``)
 ``REPRO_NN_DTYPE``              default compute dtype (float32/float64)
@@ -152,9 +152,11 @@ def enc_cache_dir() -> "Path | None":
 
 
 def engine_token_budget() -> "int | None":
-    """Padded tokens per inference batch (``REPRO_ENGINE_TOKEN_BUDGET``).
+    """Most padded tokens per inference batch (``REPRO_ENGINE_TOKEN_BUDGET``).
 
-    ``0`` (like unset) means the engine default, ``batch_size * max_len``.
+    A memory cap: the engine's pad-aware planner closes batches earlier
+    when padding costs more than a forward. ``0`` (like unset) means the
+    engine default, ``batch_size * max_len``.
     """
     budget = env_int("REPRO_ENGINE_TOKEN_BUDGET", None)
     return _non_negative("REPRO_ENGINE_TOKEN_BUDGET", budget) or None

@@ -8,10 +8,18 @@ module plans better batches and runs them gradient-free:
   lengths keep corpus order) and grouped so each batch pads to its own max
   instead of the global one. Attention is quadratic in the padded length,
   so on long-tailed corpora this removes most of the work.
-- **Token budgets** — a batch closes when adding the next sequence would
-  exceed ``token_budget`` padded tokens (default ``batch_size * max_len``,
-  the seed path's worst-case footprint), so many short documents share one
-  batch while worst-case memory never grows.
+- **Pad-aware batch closing** — walking the sorted lengths, a batch of
+  ``n`` documents padded to ``width`` closes before a longer document of
+  length ``L`` when padding the batch up to it, ``n * (L - width)`` extra
+  tokens, would cost more than starting one more forward. That fixed
+  per-forward cost is :data:`FORWARD_COST_TOKENS`, counted in padded
+  tokens. A request of 4 short and 4 ``max_len`` documents thus runs as
+  two forwards instead of one batch padded to ``max_len`` throughout.
+- **Token budget (memory cap)** — a batch also closes when it would exceed
+  ``token_budget`` padded tokens (default ``batch_size * max_len``, the
+  seed path's worst-case footprint). It bounds activation memory only;
+  equal-length documents still fill it, so many short documents share
+  one batch.
 - **No-grad execution** — every batch runs under
   :class:`repro.nn.tensor.inference_mode`, skipping graph construction.
 - **Position-gathered MLM head** — masked-position logits are computed
@@ -24,9 +32,9 @@ exactly zero attention weight, so each document's rows depend only on its
 own ids. The equivalence tests in ``tests/test_plm_engine.py`` assert this
 for every entry point.
 
-``REPRO_ENGINE_TOKEN_BUDGET=<int>`` sets the padded tokens per batch
-(read by :meth:`EngineConfig.from_env`). An encoder loaded from a
-quantized archive carries a packed predict-only twin
+``REPRO_ENGINE_TOKEN_BUDGET=<int>`` sets the memory cap in padded tokens
+per batch (read by :meth:`EngineConfig.from_env`). An encoder loaded from
+a quantized archive carries a packed predict-only twin
 (:mod:`repro.plm.infer`), and batches run through it instead of the
 Tensor forward; the packed forward is float32-ulp-equivalent to the
 Tensor path, not bit-identical.
@@ -49,7 +57,7 @@ class EngineConfig:
     """Batch-shape knobs of the inference engine."""
 
     batch_size: int = 32
-    token_budget: "int | None" = None  # None -> batch_size * max_len
+    token_budget: "int | None" = None  # memory cap; None -> batch_size * max_len
 
     @classmethod
     def from_env(cls, batch_size: int = 32) -> "EngineConfig":
@@ -58,14 +66,29 @@ class EngineConfig:
                    token_budget=_env.engine_token_budget())
 
 
+#: Fixed cost of one encoder forward, in padded tokens. Calibrated on the
+#: Tensor forward of a default-config encoder (``PLMConfig()``, 2-core x86
+#: host, alike at 1 and 2 BLAS threads): the median of 150 forwards per
+#: shape, B in 1..32 by T in 8..48, fitted as ``fixed + per_token * B * T``
+#: over the shapes of at most 400 padded tokens (the batch sizes this
+#: rule decides between), read 0.15 ms fixed and 2.7 us per token, 54-57
+#: tokens over four fits. Not a knob: it encodes what a forward costs.
+FORWARD_COST_TOKENS = 56
+
+
 def plan_batches(lengths: list, config: EngineConfig, max_len: int) -> list:
     """Partition sequence indices into length-bucketed batches.
 
     Returns index arrays (into the original order). Indices are stably
-    sorted by length and batches grow until the *padded* size (count x
-    running max length) would exceed the token budget, or the batch holds
-    ``batch_size * max_len`` sequences (cap for degenerate all-empty
-    inputs).
+    sorted by length (clamped to ``[1, max_len]``) and a batch grows
+    until the next sequence would
+
+    - pad the batch's ``n`` sequences up from ``width`` to its length
+      ``L`` at a cost of ``n * (L - width)`` tokens greater than
+      :data:`FORWARD_COST_TOKENS`, one more forward's fixed cost;
+    - push the padded size (count x length) over the token budget; or
+    - make the batch hold more than ``batch_size * max_len`` sequences
+      (cap for degenerate all-empty inputs).
     """
     n = len(lengths)
     if n == 0:
@@ -74,14 +97,17 @@ def plan_batches(lengths: list, config: EngineConfig, max_len: int) -> list:
     order = np.argsort(np.asarray(lengths, dtype=np.int64), kind="stable")
     batches: list[np.ndarray] = []
     current: list[int] = []
+    width = 0
     for idx in order:
         # Sorted ascending: the candidate's (clamped) length is the batch max.
         padded = min(max(int(lengths[idx]), 1), max_len)
-        if current and ((len(current) + 1) * padded > budget
+        if current and (len(current) * (padded - width) > FORWARD_COST_TOKENS
+                        or (len(current) + 1) * padded > budget
                         or len(current) >= config.batch_size * max_len):
             batches.append(np.asarray(current, dtype=np.int64))
             current = []
         current.append(int(idx))
+        width = padded
     if current:
         batches.append(np.asarray(current, dtype=np.int64))
     return batches

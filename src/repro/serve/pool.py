@@ -29,6 +29,11 @@ behind a least-loaded dispatcher in the parent:
   the requests already in its pipe, so every accepted request resolves
   exactly once and every later submit raises ``ServingError``.
 
+Each worker starts with one BLAS thread (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to ``1`` unless the
+user set them): the replicas are the parallelism, and N replicas that
+each start a BLAS thread per core contend for the same cores.
+
 A worker answers each batch with the engine's own batch rule
 (:func:`~repro.serve.engine.serve_batch`: deadline check, one predict,
 split back per request in order), so a pool ``classify`` returns
@@ -49,6 +54,7 @@ import itertools
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
@@ -95,6 +101,35 @@ class PoolConfig:
     warmup: bool = True
     verify: bool = True
     start_timeout_s: float = 120.0
+
+
+#: BLAS thread-count variables a replica starts with set to ``1``.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+_spawn_env_lock = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Give processes spawned inside the block one BLAS thread.
+
+    Sets each of :data:`BLAS_THREAD_VARS` the user has not set to ``1``
+    and removes it again on exit. A spawn child inherits the parent's
+    environment when it starts, and its BLAS reads these variables when
+    it imports numpy, before the worker function runs, so they must be
+    in the environment at start. The parent's BLAS has long read them,
+    and the block only spans ``Process.start``.
+    """
+    with _spawn_env_lock:
+        added = [name for name in BLAS_THREAD_VARS if name not in os.environ]
+        for name in added:
+            os.environ[name] = "1"
+        try:
+            yield
+        finally:
+            for name in added:
+                os.environ.pop(name, None)
 
 
 class _Replica:
@@ -257,7 +292,8 @@ class ReplicaPool:
                     name=f"repro-pool-replica-{i}",
                 )
                 replica = _Replica(i, process, parent_conn)
-                process.start()
+                with _one_blas_thread():
+                    process.start()
                 child_conn.close()
                 replica.receiver = threading.Thread(
                     target=self._recv_loop, args=(replica,), daemon=True,

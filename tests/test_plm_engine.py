@@ -16,7 +16,8 @@ from repro.nn.functional import l2_normalize
 from repro.nn.tensor import Tensor, inference_mode, is_grad_enabled
 from repro.plm.config import PLMConfig
 from repro.plm.encoder import TransformerEncoder, pad_batch
-from repro.plm.engine import EngineConfig, plan_batches
+from repro.plm import engine
+from repro.plm.engine import FORWARD_COST_TOKENS, EngineConfig, plan_batches
 from repro.plm.model import PretrainedLM
 from repro.text.vocabulary import MASK, Vocabulary
 
@@ -172,10 +173,57 @@ def test_plan_batches_token_budget_grows_short_batches():
     assert max(len(b) for b in batches) > 3
     for batch in batches:
         assert len(batch) * 2 <= 12
+    # Equal lengths pad nothing, so they fill the budget exactly.
+    assert [len(b) for b in plan_batches([48] * 70, EngineConfig(), 48)] == [
+        32, 32, 6]
+    config = EngineConfig(token_budget=480)
+    assert [len(b) for b in plan_batches([8] * 100, config, 48)] == [60, 40]
 
 
 def test_plan_batches_empty_input():
     assert plan_batches([], EngineConfig(), 12) == []
+
+
+def test_plan_batches_splits_short_from_long():
+    # Padding 4 docs from 8 to 48 tokens costs 160 padded tokens, more
+    # than one more forward: short and long docs run as two batches.
+    batches = plan_batches([8] * 4 + [48] * 4, EngineConfig(), 48)
+    assert [sorted(b.tolist()) for b in batches] == [[0, 1, 2, 3],
+                                                    [4, 5, 6, 7]]
+
+
+def test_plan_batches_does_not_split_a_gentle_ramp():
+    # Each one-token step pads the batch by its size, which passes
+    # FORWARD_COST_TOKENS only once the batch holds more documents than
+    # that: lengths 1..200 split at most every 57 documents.
+    assert FORWARD_COST_TOKENS >= 48
+    unbounded = EngineConfig(token_budget=10 ** 6)
+    assert len(plan_batches(list(range(1, 49)), unbounded, 48)) == 1
+    assert len(plan_batches(list(range(1, 49)), EngineConfig(), 48)) <= 2
+    assert len(plan_batches(list(range(1, 201)), unbounded, 200)) <= 4
+
+
+def test_request_shape_embeddings_equal_the_one_batch_plan(monkeypatch):
+    """A serve-http-shaped request (4 docs of 8 tokens, 4 at ``max_len``)
+    runs as two forwards, bit-identical to one batch padded to 48."""
+    vocab = Vocabulary.build([[f"w{i}" for i in range(60)]] * 3)
+    encoder = TransformerEncoder(vocab, PLMConfig(),
+                                 np.random.default_rng(11))
+    plm = PretrainedLM(encoder, enc_cache=None)
+    docs = ([[f"w{(i * 5 + j) % 60}" for j in range(8)] for i in range(4)]
+            + [[f"w{(i * 3 + j) % 60}" for j in range(60)] for i in range(4)])
+    planned = []
+
+    def spy(lengths, config, max_len):
+        planned.append(plan_batches(lengths, config, max_len))
+        return planned[-1]
+
+    monkeypatch.setattr(engine, "plan_batches", spy)
+    split = plm.doc_embeddings(docs)
+    monkeypatch.setattr(engine, "FORWARD_COST_TOKENS", 10 ** 9)
+    whole = plm.doc_embeddings(docs)
+    assert [len(p) for p in planned] == [2, 1]
+    assert np.array_equal(split, whole)
 
 
 # -- encode equivalence ------------------------------------------------------

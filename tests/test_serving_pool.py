@@ -19,9 +19,13 @@ import json
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.exceptions import (
@@ -43,6 +47,8 @@ from repro.serve import (
 from repro.serve import pool as pool_mod
 
 pytestmark = pytest.mark.serving
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class SlowModel:
@@ -79,6 +85,14 @@ class ThreadCountModel:
 
     def predict(self, docs):
         return [threading.active_count()] * len(docs)
+
+
+class BlasThreadsModel:
+    """Picklable fake that answers with its process's BLAS thread vars."""
+
+    def predict(self, docs):
+        return [tuple(os.environ.get(name)
+                      for name in pool_mod.BLAS_THREAD_VARS)] * len(docs)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +162,42 @@ def test_pool_matches_single_engine_bit_identical(xpool, pool_registry,
     assert xpool.labels == pool_registry.load("pool-x").labels
 
 
+def test_scores_bit_identical_at_one_blas_thread(pool_registry, pool_bundle,
+                                                 tmp_path):
+    """Replicas run one BLAS thread; offline callers run the default.
+
+    ``predict_scored`` scores from a process at ``OPENBLAS_NUM_THREADS=1``
+    must equal this process's byte for byte, on short and longer-than-
+    ``max_len`` documents mixed in one call.
+    """
+    lists = pool_bundle.test_corpus.token_lists()
+    docs = ([tokens[:3] for tokens in lists[:16]]
+            + [lists[i] + lists[i + 1] + lists[i + 2] for i in range(16, 32)])
+    _, reference = pool_registry.load("pool-x").predict_scored(docs)
+    path = pool_registry.version_dir(
+        "pool-x", pool_registry.resolve("pool-x", "latest"))
+    (tmp_path / "docs.json").write_text(json.dumps(docs))
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from repro.serve import load_artifact\n"
+        "artifact, docs_path, out_path = sys.argv[1:4]\n"
+        "docs = json.loads(open(docs_path).read())\n"
+        "np.save(out_path, load_artifact(artifact).predict_scored(docs)[1])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(tmp_path / "docs.json"),
+         str(tmp_path / "out.npy")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    )
+    assert result.returncode == 0, result.stderr
+    fresh = np.load(tmp_path / "out.npy")
+    assert fresh.dtype == reference.dtype and fresh.shape == reference.shape
+    assert fresh.tobytes() == reference.tobytes()
+
+
 def test_pool_spreads_load_and_reports_stats(xpool, pool_bundle):
     docs = pool_bundle.test_corpus.token_lists()[:12]
     requests = [xpool.submit([doc]) for doc in docs]
@@ -181,6 +231,23 @@ def test_pool_warmup_runs_before_traffic(tmp_path):
         with ReplicaPool(path, config=PoolConfig(replicas=1,
                                                  warmup=warmup)) as pool:
             assert pool.classify([["a"]], timeout=60) == [first]
+
+
+def test_pool_worker_runs_one_blas_thread_unless_set(tmp_path, monkeypatch):
+    path = export_artifact(BlasThreadsModel(), tmp_path / "blas")
+    config = PoolConfig(replicas=1, warmup=False)
+    for name in pool_mod.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    with ReplicaPool(path, config=config) as pool:
+        assert pool.classify([["a"]], timeout=60) == [("1", "1", "1")]
+    # The variables reach the worker only, not the parent's environment.
+    assert not any(name in os.environ for name in pool_mod.BLAS_THREAD_VARS)
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    with ReplicaPool(path, config=config) as pool:
+        assert pool.classify([["a"]], timeout=60) == [("2", "1", "1")]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert "OMP_NUM_THREADS" not in os.environ
 
 
 def test_pool_close_drain_resolves_every_accepted_request_exactly_once(
