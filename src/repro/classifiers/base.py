@@ -15,6 +15,7 @@ from repro.core.seeding import ensure_rng
 from repro.nn.layers import Embedding, Module
 from repro.nn.losses import soft_cross_entropy
 from repro.nn.optim import Adam
+from repro.nn.tensor import inference_mode
 from repro.plm.encoder import BatchPlan
 from repro.text.vocabulary import Vocabulary
 
@@ -127,14 +128,15 @@ class TokenClassifier(Module):
         n = len(sequences)
         out = np.zeros((n, self.n_classes), dtype=self.embedding.weight.data.dtype)
         self.eval()
-        for start in range(0, n, batch_size):
-            take = np.arange(start, min(start + batch_size, n))
-            ids, pad_mask = plan.gather(take)
-            logits = self._forward(ids, pad_mask).data
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-            out[start : start + take.size] = probs
+        with inference_mode():
+            for start in range(0, n, batch_size):
+                take = np.arange(start, min(start + batch_size, n))
+                ids, pad_mask = plan.gather(take)
+                logits = self._forward(ids, pad_mask).data
+                shifted = logits - logits.max(axis=1, keepdims=True)
+                probs = np.exp(shifted)
+                probs /= probs.sum(axis=1, keepdims=True)
+                out[start : start + take.size] = probs
         return out
 
     def predict(self, token_lists: list) -> np.ndarray:

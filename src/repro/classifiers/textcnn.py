@@ -1,7 +1,8 @@
 """TextCNN (Kim 2014) over padded token batches.
 
-Convolutions are realized as sliding-window gathers + linear maps, with
-ReLU and max-over-time pooling per filter size — the classifier WeSTClass
+Convolutions are realized as sliding windows (one strided copy, see
+:func:`repro.nn.functional.sliding_windows`) + linear maps, with ReLU
+and max-over-time pooling per filter size — the classifier WeSTClass
 and WeSHClass train on pseudo-documents.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.classifiers.base import TokenClassifier
+from repro.nn.functional import sliding_windows
 from repro.nn.layers import Linear
 from repro.nn.tensor import Tensor, concatenate
 
@@ -44,9 +46,7 @@ class TextCNNClassifier(TokenClassifier):
         x = self.embedding(ids)  # (B, T, D)
         pooled_parts = []
         for window, conv in zip(self.window_sizes, self.convs):
-            idx = np.arange(seq - window + 1)[:, None] + np.arange(window)[None, :]
-            windows = x[:, idx, :]  # (B, P, W, D)
-            positions = windows.reshape(batch, seq - window + 1, window * self.dim)
+            positions = sliding_windows(x, window)  # (B, P, W·D)
             feature = conv(positions).relu()  # (B, P, F)
             # Mask windows that start at padding so they never win the max.
             starts = pad_mask[:, : seq - window + 1]

@@ -135,6 +135,37 @@ def attention_scores(q: Tensor, k: Tensor, mask: "np.ndarray | None" = None) -> 
     return logits
 
 
+def sliding_windows(x: Tensor, window: int) -> Tensor:
+    """Every ``window`` consecutive rows of a (B, T, D) tensor, flattened.
+
+    Returns the C-contiguous (B, T - window + 1, window * D) input of a
+    convolution run as one GEMM. The windows are one strided copy (a
+    gather ``x[:, idx, :]`` would copy once to index and again to
+    reshape). The backward adds the gradient's shifted slices for ``w``
+    from ``window - 1`` down to 0: the order in which ``np.add.at``
+    scatters the gather's gradient, so the two agree bit for bit.
+    """
+    data = np.ascontiguousarray(x.data)
+    batch, seq, dim = data.shape
+    positions = seq - window + 1
+    # Rows are contiguous, so window p is the W·D elements from row p on.
+    view = np.lib.stride_tricks.as_strided(
+        data, shape=(batch, positions, window * dim), strides=data.strides,
+        writeable=False)
+    out = np.ascontiguousarray(view)
+    if not (is_grad_enabled() and x.requires_grad):
+        return Tensor(out)
+
+    def backward(grad):
+        grad = grad.reshape(batch, positions, window, dim)
+        full = np.zeros((batch, seq, dim), dtype=data.dtype)
+        for w in range(window - 1, -1, -1):
+            full[:, w:w + positions] += grad[:, :, w]
+        return (full,)
+
+    return x._make(out, (x,), backward)
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Plain numpy cosine similarity between row sets: (n, d) x (m, d) -> (n, m)."""
     a = _ensure_float(a)

@@ -372,17 +372,18 @@ class Pipeline:
     # -- checkpointing -------------------------------------------------------
     def checkpoint(self) -> None:
         """Atomically commit the resume state."""
-        self.store.write_checkpoint({
-            "cursor": self.cursor,
-            "ingested": self.ingested,
-            "deduped": self.deduped,
-            "classified": self.classified,
-            "fits": self.fits,
-            "model_version": self.model_version,
-            "store": self.store.state(),
-            "drift": self.monitor.to_state() if self.monitor else None,
-            "stream": self.config.stream.to_state(),
-        })
+        with obs.span("pipeline:checkpoint", cursor=self.cursor):
+            self.store.write_checkpoint({
+                "cursor": self.cursor,
+                "ingested": self.ingested,
+                "deduped": self.deduped,
+                "classified": self.classified,
+                "fits": self.fits,
+                "model_version": self.model_version,
+                "store": self.store.state(),
+                "drift": self.monitor.to_state() if self.monitor else None,
+                "stream": self.config.stream.to_state(),
+            })
 
     # -- the loop ------------------------------------------------------------
     def run(self, max_batches: "int | None" = None,

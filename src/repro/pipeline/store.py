@@ -21,6 +21,13 @@ checkpoint cursor regenerates the truncated bytes exactly — an
 interrupted-and-resumed run ends byte-identical to an uninterrupted
 one.
 
+A checkpoint reads no shard: the store keeps every sealed shard's
+``{"bytes", "docs"}`` entry in memory (recorded when :meth:`append`
+rotates past it, rebuilt by one rescan when the store opens or
+truncates) and takes the open shard's entry from its document counter
+plus one ``stat``. So a checkpoint costs the same at the end of a long
+stream as at its start.
+
 Checkpoint schema (``checkpoint.json``, written atomically via
 tmp-then-``os.replace``)::
 
@@ -94,6 +101,8 @@ class CorpusStore:
         self._docs_in_shard = 0
         self._docs = 0
         self._predictions = 0
+        # Checkpoint entries of every shard but the open one.
+        self._sealed: dict = {}
         self._recount()
 
     @classmethod
@@ -111,17 +120,25 @@ class CorpusStore:
         """Existing shard paths in shard order."""
         return sorted(self.shard_dir.glob("shard_*.jsonl"))
 
-    def _recount(self) -> None:
-        """Rebuild in-memory counters from the files on disk."""
-        self._docs = 0
-        self._predictions = 0
+    def _recount(self) -> dict:
+        """Rebuild in-memory counters from the files on disk.
+
+        Returns every shard's ``{"bytes", "docs"}`` entry, keyed by file
+        name; the ones before the open shard become :attr:`_sealed`.
+        """
         shards = self.shard_files()
+        entries = {}
         for path in shards:
-            self._docs += sum(1 for _ in self._iter_lines(path))
+            entries[path.name] = {
+                "bytes": path.stat().st_size,
+                "docs": sum(1 for _ in self._iter_lines(path)),
+            }
+        self._docs = sum(entry["docs"] for entry in entries.values())
+        self._predictions = 0
         if shards:
             last = shards[-1]
             self._shard_index = int(last.stem.split("_")[1])
-            self._docs_in_shard = sum(1 for _ in self._iter_lines(last))
+            self._docs_in_shard = entries[last.name]["docs"]
             if self._docs_in_shard >= self.shard_docs:
                 self._shard_index += 1
                 self._docs_in_shard = 0
@@ -132,6 +149,14 @@ class CorpusStore:
         if predictions.exists():
             self._predictions = sum(
                 1 for _ in self._iter_lines(predictions))
+        self._seal(entries)
+        return entries
+
+    def _seal(self, entries: dict) -> None:
+        """Keep the entries of every shard except the open one."""
+        open_name = self._shard_path(self._shard_index).name
+        self._sealed = {name: entry for name, entry in entries.items()
+                        if name != open_name}
 
     @staticmethod
     def _iter_lines(path: Path):
@@ -200,6 +225,8 @@ class CorpusStore:
             self._docs += len(chunk)
             self._docs_in_shard += len(chunk)
             if self._docs_in_shard >= self.shard_docs:
+                self._sealed[path.name] = {"bytes": path.stat().st_size,
+                                           "docs": self._docs_in_shard}
                 self._shard_index += 1
                 self._docs_in_shard = 0
             i += len(chunk)
@@ -257,13 +284,20 @@ class CorpusStore:
 
     # -- byte-level resume contract ------------------------------------------
     def state(self) -> dict:
-        """Byte-exact snapshot for the checkpoint (shard + log lengths)."""
-        shards = {}
-        for path in self.shard_files():
-            shards[path.name] = {
-                "bytes": path.stat().st_size,
-                "docs": sum(1 for _ in self._iter_lines(path)),
-            }
+        """Byte-exact snapshot for the checkpoint (shard + log lengths).
+
+        Reads no shard: sealed shards' entries are kept in memory and the
+        open shard's is its document counter plus one ``stat``.
+        """
+        shards = {name: dict(entry) for name, entry in self._sealed.items()}
+        open_path = self._shard_path(self._shard_index)
+        try:
+            size = open_path.stat().st_size
+        except FileNotFoundError:
+            pass  # rotated, and nothing appended to the new shard yet
+        else:
+            shards[open_path.name] = {"bytes": size,
+                                      "docs": self._docs_in_shard}
         predictions = self.directory / PREDICTIONS
         return {
             "shards": shards,
@@ -315,12 +349,11 @@ class CorpusStore:
                 f"predictions log {predictions} is missing but the "
                 f"checkpoint recorded {want} bytes"
             )
-        self._shard_index = int(state.get("shard_index", 0))
-        self._docs_in_shard = int(state.get("docs_in_shard", 0))
-        self._recount()
+        entries = self._recount()
         self._shard_index = int(state.get("shard_index", self._shard_index))
         self._docs_in_shard = int(state.get("docs_in_shard",
                                             self._docs_in_shard))
+        self._seal(entries)
 
     # -- checkpoints ---------------------------------------------------------
     def write_checkpoint(self, payload: dict) -> None:

@@ -6,6 +6,10 @@ generation) are built once per test run.
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -80,3 +84,25 @@ def packed_forward_calls(monkeypatch):
 
     monkeypatch.setattr(PackedEncoder, "forward", counting)
     return calls
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Name what could keep the interpreter alive after the run ends.
+
+    A live non-daemon thread or child process holds the exit (or the
+    write end of a pipe that pytest's output feeds), so a run that
+    prints its summary and never returns shows the culprit here. Reports
+    only; no outcome changes.
+    """
+    threads = [t for t in threading.enumerate()
+               if t is not threading.main_thread() and not t.daemon
+               and t.is_alive()]
+    children = multiprocessing.active_children()
+    if threads or children:
+        print(file=sys.stderr)  # off the progress line
+    for thread in threads:
+        print(f"[conftest] live non-daemon thread at session end: "
+              f"{thread.name!r} (ident {thread.ident})", file=sys.stderr)
+    for child in children:
+        print(f"[conftest] live child process at session end: "
+              f"{child.name!r} (pid {child.pid})", file=sys.stderr)

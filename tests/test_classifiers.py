@@ -13,6 +13,8 @@ from repro.classifiers import (
 )
 from repro.classifiers.base import as_soft_targets
 from repro.core.exceptions import NotFittedError
+from repro.nn.functional import sliding_windows
+from repro.nn.tensor import Tensor, concatenate, default_dtype
 from repro.text.vocabulary import Vocabulary
 
 
@@ -29,6 +31,85 @@ def _toy_task(rng, n=80):
         targets.append(cls)
     vocab = Vocabulary.build(docs)
     return docs, np.array(targets), vocab
+
+
+def _gather_windows(x: Tensor, window: int) -> Tensor:
+    """Reference window op: the advanced-index gather, then a reshape."""
+    batch, seq, dim = x.shape
+    idx = np.arange(seq - window + 1)[:, None] + np.arange(window)[None, :]
+    return x[:, idx, :].reshape(batch, seq - window + 1, window * dim)
+
+
+class _GatherTextCNN(TextCNNClassifier):
+    """TextCNN whose windows come from the reference gather."""
+
+    def _forward(self, ids, pad_mask):
+        batch, seq = ids.shape
+        min_len = max(self.window_sizes)
+        if seq < min_len:
+            pad = np.full((batch, min_len - seq), self.vocabulary.pad_id,
+                          dtype=ids.dtype)
+            ids = np.concatenate([ids, pad], axis=1)
+            pad_mask = np.concatenate(
+                [pad_mask, np.ones((batch, min_len - seq), dtype=bool)],
+                axis=1)
+            seq = min_len
+        x = self.embedding(ids)
+        pooled = []
+        for window, conv in zip(self.window_sizes, self.convs):
+            feature = conv(_gather_windows(x, window)).relu()
+            starts = pad_mask[:, : seq - window + 1]
+            feature = feature.masked_fill(starts[:, :, None], 0.0)
+            pooled.append(feature.max(axis=1))
+        return self.head(concatenate(pooled, axis=1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window", [1, 2, 3, 5])
+def test_sliding_windows_match_the_gather_bit_for_bit(dtype, window):
+    rng = np.random.default_rng(window)
+    data = rng.normal(size=(3, 7, 4)).astype(dtype)
+    upstream = rng.normal(size=(3, 8 - window, window * 4)).astype(dtype)
+    x = Tensor(data, requires_grad=True)
+    out = sliding_windows(x, window)
+    assert out.data.flags.c_contiguous and out.dtype == dtype
+    out.backward(upstream)
+    ref_x = Tensor(data.copy(), requires_grad=True)
+    ref = _gather_windows(ref_x, window)
+    ref.backward(upstream)
+    assert np.array_equal(out.data, ref.data)
+    assert x.grad.dtype == dtype
+    assert np.array_equal(x.grad, ref_x.grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("short", [False, True])
+def test_textcnn_is_bit_identical_to_the_gather(rng, dtype, short):
+    docs, targets, vocab = _toy_task(rng, n=40)
+    if short:
+        # Every batch is shorter than the widest window: the pad branch.
+        docs = [doc[:1 + i % 2] for i, doc in enumerate(docs)]
+    with default_dtype(dtype):
+        model = TextCNNClassifier(vocab, 2, dim=8, window_sizes=(2, 3, 4),
+                                  seed=0)
+        reference = _GatherTextCNN(vocab, 2, dim=8, window_sizes=(2, 3, 4),
+                                   seed=0)
+    encoded = [vocab.encode(doc) for doc in docs[:6]]
+    width = max(len(row) for row in encoded)
+    ids = np.full((6, width), vocab.pad_id, dtype=np.int64)
+    for i, row in enumerate(encoded):
+        ids[i, :len(row)] = row
+    pad_mask = ids == vocab.pad_id
+    assert np.array_equal(model._forward(ids, pad_mask).data,
+                          reference._forward(ids, pad_mask).data)
+    model.fit(docs, targets, epochs=3, batch_size=8)
+    reference.fit(docs, targets, epochs=3, batch_size=8)
+    for mine, theirs in zip(model.parameters(), reference.parameters()):
+        assert mine.data.dtype == dtype
+        assert np.array_equal(mine.data, theirs.data)
+    probe = docs + [[], ["red"]]
+    assert np.array_equal(model.predict_proba(probe),
+                          reference.predict_proba(probe))
 
 
 def test_as_soft_targets_from_hard():

@@ -22,6 +22,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.core import env
 from repro.core.exceptions import CheckpointError, PipelineError
 from repro.pipeline import (
@@ -162,6 +163,116 @@ def test_store_shards_truncates_and_roundtrips_checkpoints(tmp_path):
     reopened.append(docs[20:], hashes[20:])
     assert {p.name: p.stat().st_size for p in reopened.shard_files()} == \
         {p.name: p.stat().st_size for p in store.shard_files()}
+
+
+def rescan_state(store: CorpusStore) -> dict:
+    """The store's checkpoint state, rebuilt by counting every shard line."""
+    shards = {}
+    for path in store.shard_files():
+        shards[path.name] = {
+            "bytes": path.stat().st_size,
+            "docs": sum(1 for line in path.read_text().splitlines()
+                        if line.strip()),
+        }
+    predictions = store.directory / "predictions.jsonl"
+    return {
+        "shards": shards,
+        "predictions_bytes": (predictions.stat().st_size
+                              if predictions.exists() else 0),
+        "shard_index": store._shard_index,
+        "docs_in_shard": store._docs_in_shard,
+    }
+
+
+def _stream_docs(n: int) -> tuple:
+    source = StreamSource(StreamConfig(profile="agnews", seed=0, scale=0.3,
+                                       n_docs=n))
+    _, docs = source.read(0, n)
+    return docs, [content_hash(d.tokens) for d in docs]
+
+
+def test_store_state_equals_rescan_across_rotation(tmp_path):
+    docs, hashes = _stream_docs(40)
+    store = CorpusStore(tmp_path / "s", shard_docs=4)
+    assert store.state() == rescan_state(store)
+    at = 0
+    # Chunks that end mid-shard, exactly at a rotation, and span several.
+    for size in (1, 3, 4, 2, 7, 9, 1, 5):
+        store.append(docs[at:at + size], hashes[at:at + size])
+        at += size
+        store.append_predictions([{"doc_id": d.doc_id}
+                                  for d in docs[at - size:at]])
+        assert store.state() == rescan_state(store), at
+    assert len(store.shard_files()) == 8  # 32 docs, 4 per shard
+
+
+def test_store_state_equals_rescan_after_truncate_and_reopen(tmp_path):
+    docs, hashes = _stream_docs(40)
+    store = CorpusStore(tmp_path / "s", shard_docs=4)
+    store.append(docs[:10], hashes[:10])
+    store.append_predictions([{"doc_id": d.doc_id} for d in docs[:6]])
+    state = store.state()
+    # An un-checkpointed tail that crosses two rotations.
+    store.append(docs[10:19], hashes[10:19])
+    store.append_predictions([{"doc_id": d.doc_id} for d in docs[6:19]])
+
+    store.truncate_to(state)
+    assert store.state() == rescan_state(store) == state
+
+    reopened = CorpusStore(tmp_path / "s", shard_docs=4)
+    assert reopened.state() == rescan_state(reopened) == state
+    for lo, hi in ((10, 12), (12, 17), (17, 24)):
+        reopened.append(docs[lo:hi], hashes[lo:hi])
+        assert reopened.state() == rescan_state(reopened), hi
+
+    # A truncation back to an exact rotation boundary.
+    boundary = CorpusStore(tmp_path / "b", shard_docs=4)
+    boundary.append(docs[:8], hashes[:8])
+    state = boundary.state()
+    assert state["docs_in_shard"] == 0 and len(state["shards"]) == 2
+    boundary.append(docs[8:13], hashes[8:13])
+    boundary.truncate_to(state)
+    assert boundary.state() == rescan_state(boundary) == state
+
+
+def test_checkpoints_read_no_sealed_shard(tmp_path, monkeypatch):
+    docs, hashes = _stream_docs(40)
+    store = CorpusStore(tmp_path / "s", shard_docs=4)
+    reads = []
+    iter_lines = CorpusStore._iter_lines
+
+    def counting(path):
+        reads.append(path.name)
+        return iter_lines(path)
+
+    monkeypatch.setattr(CorpusStore, "_iter_lines", staticmethod(counting))
+    for i in range(10):
+        store.append(docs[3 * i:3 * i + 3], hashes[3 * i:3 * i + 3])
+        store.write_checkpoint({"cursor": 3 * i + 3, "store": store.state()})
+    assert len(store.shard_files()) == 8
+    assert reads == []
+    assert store.read_checkpoint()["store"] == rescan_state(store)
+
+
+def test_checkpoint_runs_in_its_span(tmp_path, monkeypatch):
+    paths = []
+    state = CorpusStore.state
+
+    def recording(self):
+        paths.append(obs.tracer().current_path())
+        return state(self)
+
+    monkeypatch.setattr(CorpusStore, "state", recording)
+    pipe = Pipeline(make_config(tmp_path))
+    obs.enable("checkpoint-span")
+    try:
+        pipe.run(max_batches=2)  # 48 docs: before the bootstrap fit
+    finally:
+        tracer = obs.disable()
+    # The periodic checkpoint after batch 2, then the one on exit.
+    assert paths == ["pipeline:checkpoint"] * 2
+    spans = [e for e in tracer.events() if e.get("name") == "pipeline:checkpoint"]
+    assert [e["path"] for e in spans] == ["pipeline:checkpoint"] * 2
 
 
 def test_checkpoint_corruption_and_schema_are_typed(tmp_path):
