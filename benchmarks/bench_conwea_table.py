@@ -5,15 +5,14 @@ three ablations (NoCon, NoExpan, WSD) fall below the full system; the
 supervised HAN bounds everything.
 """
 
-from conftest import FULL, run_once
+from conftest import FULL, run_once, run_table
 
 from repro.evaluation.reporting import format_table
-from repro.experiments import tables
 
 
 def test_conwea_table(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.conwea_table(seed=0, fast=not FULL),
+                    lambda: run_table("conwea", fast=not FULL),
                     artifact="conwea_table")
     print()
     print(format_table(rows, title="ConWea results (coarse/fine views)"))

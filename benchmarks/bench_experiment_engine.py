@@ -22,9 +22,8 @@ import os
 import tempfile
 import time
 
-from conftest import write_bench_artifact
+from conftest import run_table, write_bench_artifact
 
-from repro.experiments import tables
 from repro.experiments.dag import ArtifactGraph, DagNode
 from repro.experiments.engine import clear_memo_memory, derive_row_seed
 from repro.experiments.scheduler import run_graph
@@ -74,13 +73,15 @@ def _bench_latency_table() -> dict:
     }
 
 
-def _bench_real_table(name: str, table_fn, cache_root: str) -> dict:
+def _bench_real_table(name: str, cache_root: str) -> dict:
     cache_dir = os.path.join(cache_root, name)
-    cold, cold_s = _timed(lambda: _run_cached(table_fn, cache_dir))
+    cached = lambda: run_table(name, jobs=1, use_cache=True,  # noqa: E731
+                               cache_dir=cache_dir)
+    cold, cold_s = _timed(cached)
     fanned, jobs4_s = _timed(  # pure compute: no store reads or writes
-        lambda: table_fn(seed=0, fast=True, jobs=4, use_cache=False))
+        lambda: run_table(name, jobs=4, use_cache=False))
     clear_memo_memory()  # warm run must come from the disk tier
-    warm, warm_s = _timed(lambda: _run_cached(table_fn, cache_dir))
+    warm, warm_s = _timed(cached)
     strip = lambda rows: [  # noqa: E731
         {k: v for k, v in r.items() if k != "seconds"} for r in rows]
     assert strip(warm) == strip(cold)
@@ -94,28 +95,14 @@ def _bench_real_table(name: str, table_fn, cache_root: str) -> dict:
     }
 
 
-def _run_cached(table_fn, cache_dir: str):
-    previous = os.environ.get("REPRO_ROW_CACHE_DIR")
-    os.environ["REPRO_ROW_CACHE_DIR"] = cache_dir
-    try:
-        return table_fn(seed=0, fast=True, jobs=1, use_cache=True)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_ROW_CACHE_DIR"]
-        else:
-            os.environ["REPRO_ROW_CACHE_DIR"] = previous
-
-
 def test_experiment_engine_speedups():
     cache_root = tempfile.mkdtemp(prefix="repro-bench-rows-")
     report = {
         "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count(),
         "latency_table": _bench_latency_table(),
-        "westclass": _bench_real_table("westclass", tables.westclass_table,
-                                       cache_root),
-        "metacat": _bench_real_table("metacat", tables.metacat_tables,
-                                     cache_root),
+        "westclass": _bench_real_table("westclass", cache_root),
+        "metacat": _bench_real_table("metacat", cache_root),
         "note": ("jobs-scaling is demonstrated on the sleep-bound latency "
                  "table; CPU-bound rows cannot exceed 1x on a single-core "
                  "host, where re-runs gain from the artifact store instead"),

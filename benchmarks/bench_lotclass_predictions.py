@@ -4,15 +4,14 @@ Paper shape: the same surface form receives different replacement words in
 different topical contexts — the mechanism behind category vocabularies.
 """
 
-from conftest import run_once
+from conftest import run_once, run_table
 
 from repro.evaluation.reporting import format_table
-from repro.experiments import tables
 
 
 def test_lotclass_prediction_demo(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.lotclass_prediction_rows(seed=0),
+                    lambda: run_table("lotclass-predictions"),
                     artifact="lotclass_predictions")
     print()
     print(format_table(rows, title='MLM predictions for "goal" in context'))

@@ -5,15 +5,14 @@ label names alone, approaches the semi-supervised UDA row, and the fully
 supervised BERT bounds it.
 """
 
-from conftest import FULL, by_method, run_once
+from conftest import FULL, by_method, run_once, run_table
 
 from repro.evaluation.reporting import format_table
-from repro.experiments import tables
 
 
 def test_lotclass_table(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.lotclass_table(seed=0, fast=not FULL),
+                    lambda: run_table("lotclass", fast=not FULL),
                     artifact="lotclass_table")
     print()
     print(format_table(rows, title="LOTClass results (accuracy)"))

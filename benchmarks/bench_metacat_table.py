@@ -8,10 +8,9 @@ the paper's "-" entries).
 """
 
 import numpy as np
-from conftest import FULL, by_method, run_once
+from conftest import FULL, by_method, run_once, run_table
 
 from repro.evaluation.reporting import format_table
-from repro.experiments import tables
 
 TEXT_BASELINES = ("CNN", "HAN", "PTE", "WeSTClass", "PCEM", "BERT")
 GRAPH_BASELINES = ("ESim", "Metapath2vec", "HIN2vec")
@@ -19,7 +18,7 @@ GRAPH_BASELINES = ("ESim", "Metapath2vec", "HIN2vec")
 
 def test_metacat_tables(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.metacat_tables(seed=0, fast=not FULL),
+                    lambda: run_table("metacat", fast=not FULL),
                     artifact="metacat_table")
     print()
     print(format_table(rows, title="MetaCat results (micro/macro F1)"))

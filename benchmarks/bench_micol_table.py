@@ -6,10 +6,9 @@ beats MATCH trained on few labels but loses to MATCH with plentiful
 supervision (the crossover).
 """
 
-from conftest import FULL, by_method, run_once
+from conftest import FULL, by_method, run_once, run_table
 
 from repro.evaluation.reporting import format_table
-from repro.experiments import tables
 
 MICOL_ROWS = ("MICoL (Bi, P->P<-P)", "MICoL (Bi, P<-(PP)->P)",
               "MICoL (Cross, P->P<-P)", "MICoL (Cross, P<-(PP)->P)")
@@ -17,7 +16,7 @@ MICOL_ROWS = ("MICoL (Bi, P->P<-P)", "MICoL (Bi, P<-(PP)->P)",
 
 def test_micol_table(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.micol_table(seed=0, fast=not FULL),
+                    lambda: run_table("micol", fast=not FULL),
                     artifact="micol_table")
     print()
     print(format_table(rows, title="MICoL results (P@k, NDCG@k)"))

@@ -5,15 +5,14 @@ starting points and the earlier weakly-supervised systems; the fully
 supervised head bounds everything.
 """
 
-from conftest import FULL, by_method, run_once
+from conftest import FULL, by_method, run_once, run_table
 
 from repro.evaluation.reporting import format_table
-from repro.experiments import tables
 
 
 def test_promptclass_table(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.promptclass_table(seed=0, fast=not FULL),
+                    lambda: run_table("promptclass", fast=not FULL),
                     artifact="promptclass_table")
     print()
     print(format_table(rows, title="PromptClass results (micro/macro F1)"))

@@ -5,15 +5,14 @@ Paper shape: TaxoClass beats the single-path hierarchical baselines
 Example-F1 and P@1.
 """
 
-from conftest import FULL, by_method, run_once
+from conftest import FULL, by_method, run_once, run_table
 
 from repro.evaluation.reporting import format_table
-from repro.experiments import tables
 
 
 def test_taxoclass_table(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.taxoclass_table(seed=0, fast=not FULL),
+                    lambda: run_table("taxoclass", fast=not FULL),
                     artifact="taxoclass_table")
     print()
     print(format_table(rows, title="TaxoClass results (Example-F1, P@1)"))

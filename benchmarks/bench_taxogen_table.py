@@ -6,10 +6,9 @@ repaired P@1 must land far closer to the given-taxonomy arm than to the
 perturbed one.
 """
 
-from conftest import FULL, run_once
+from conftest import FULL, run_once, run_table
 
 from repro.evaluation.reporting import format_table
-from repro.experiments import tables
 
 
 def _by_arm(rows, method):
@@ -18,7 +17,7 @@ def _by_arm(rows, method):
 
 def test_taxogen_table(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.taxogen_table(seed=0, fast=not FULL),
+                    lambda: run_table("taxogen", fast=not FULL),
                     artifact="taxogen_table")
     print()
     print(format_table(rows, title="Taxonomy-repair ablation"))

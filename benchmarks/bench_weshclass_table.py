@@ -4,15 +4,14 @@ Paper shape: the full system beats the flat WeSTClass baseline and every
 ablation (No-global, No-vMF, No-self-train) on the leaf-level task.
 """
 
-from conftest import FULL, by_method, run_once
+from conftest import FULL, by_method, run_once, run_table
 
 from repro.evaluation.reporting import format_table
-from repro.experiments import tables
 
 
 def test_weshclass_table(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.weshclass_table(seed=0, fast=not FULL),
+                    lambda: run_table("weshclass", fast=not FULL),
                     artifact="weshclass_table")
     print()
     print(format_table(rows, title="WeSHClass results (macro/micro F1)"))

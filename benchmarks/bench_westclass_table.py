@@ -5,15 +5,14 @@ topic-model baselines under every supervision type, and self-training
 (vs. the NoST rows) helps.
 """
 
-from conftest import FULL, by_method, run_once
+from conftest import FULL, by_method, run_once, run_table
 
 from repro.evaluation.reporting import format_table
-from repro.experiments import tables
 
 
 def test_westclass_table(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.westclass_table(seed=0, fast=not FULL),
+                    lambda: run_table("westclass", fast=not FULL),
                     artifact="westclass_table")
     print()
     print(format_table(rows, title="WeSTClass results (macro/micro F1)"))

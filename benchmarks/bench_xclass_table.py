@@ -5,15 +5,14 @@ LOTClass across datasets from label names only; the Rep/Align ablations
 fall at or below the full pipeline; the supervised bound stays on top.
 """
 
-from conftest import FULL, by_method, run_once
+from conftest import FULL, by_method, run_once, run_table
 
 from repro.evaluation.reporting import format_table
-from repro.experiments import tables
 
 
 def test_xclass_dataset_table(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.xclass_dataset_table(seed=0, fast=not FULL),
+                    lambda: run_table("xclass-data", fast=not FULL),
                     artifact="xclass_dataset_table")
     print()
     print(format_table(rows, title="X-Class dataset statistics"))
@@ -24,7 +23,7 @@ def test_xclass_dataset_table(benchmark):
 
 def test_xclass_table(benchmark):
     rows = run_once(benchmark,
-                    lambda: tables.xclass_table(seed=0, fast=not FULL),
+                    lambda: run_table("xclass", fast=not FULL),
                     artifact="xclass_table")
     print()
     print(format_table(rows, title="X-Class results (micro/macro F1)"))

@@ -125,6 +125,17 @@ def run_once(benchmark, fn, artifact: "str | None" = None):
     return result
 
 
+def run_table(name: str, seed: int = 0, fast: bool = True,
+              **run_kwargs) -> list:
+    """Rows of one paper table: its compile hook run through
+    ``run_requests`` (``run_kwargs``: ``jobs``, ``use_cache``, ...)."""
+    from repro.experiments import tables
+    from repro.experiments.scheduler import run_requests
+
+    return run_requests([tables.REQUESTS[name](seed, fast)],
+                        **run_kwargs)[name]
+
+
 def by_method(rows, dataset_key="Dataset"):
     """Index rows as {(dataset, method): row}."""
     return {(r.get(dataset_key, ""), r["Method"]): r for r in rows}

@@ -3,7 +3,10 @@
 Tables compile into a content-addressed artifact DAG
 (:mod:`repro.experiments.dag`) executed by
 :mod:`repro.experiments.scheduler` on the worker pool, seeding and
-artifact store of :mod:`repro.experiments.engine`.
+artifact store of :mod:`repro.experiments.engine`. The one Python entry
+point for a table is ``run_requests([tables.REQUESTS[name](seed,
+fast)])[name]``; the CLI compiles several tables into one graph the
+same way.
 """
 
 from repro.experiments.dag import ArtifactGraph, DagNode, TableRequest

@@ -20,7 +20,8 @@ recompute (``table.row`` for one row node, ``+node`` to include its
 ancestors, ``node+`` its dependents). The ``[dag]`` footer reports
 reused-vs-executed node counts. ``cache-prune`` sweeps DAG artifacts,
 PLM archives and encode-cache hidden states left behind by old source
-trees, plus any leftover row-memo files of the retired flat row engine.
+trees, plus any leftover row-memo files of the retired flat row engine
+and per-document ``.npz`` hidden states of the retired disk tier.
 
 ``--trace DIR`` (or ``REPRO_TRACE=DIR``) records the run through
 :mod:`repro.obs` and writes ``DIR/trace_<experiment>.jsonl``; render it
@@ -47,27 +48,22 @@ from repro.plm.io import load_plm
 #: An encode-cache namespace's directory name (``array_digest``).
 _NAMESPACE = re.compile(r"[0-9a-f]{32}")
 
+#: Table id -> title, in ``--list`` order. Every id but ``summary`` has
+#: a compile hook in :data:`repro.experiments.tables.REQUESTS`.
 TABLES = {
-    "westclass": (tables.westclass_table, "WeSTClass results table"),
-    "conwea": (tables.conwea_table, "ConWea results table"),
-    "lotclass-predictions": (
-        lambda seed=0, fast=True, **engine_kwargs:
-            tables.lotclass_prediction_rows(seed=seed, **engine_kwargs),
-        "LOTClass Table 1 (MLM replacement predictions)",
-    ),
-    "lotclass": (tables.lotclass_table, "LOTClass results table"),
-    "xclass-data": (tables.xclass_dataset_table, "X-Class dataset statistics"),
-    "xclass": (tables.xclass_table, "X-Class results table"),
-    "promptclass": (tables.promptclass_table, "PromptClass results table"),
-    "weshclass": (tables.weshclass_table, "WeSHClass results table"),
-    "taxoclass": (tables.taxoclass_table, "TaxoClass results table"),
-    "taxogen": (tables.taxogen_table,
-                "Taxonomy-repair ablation (given/perturbed/repaired)"),
-    "metacat": (tables.metacat_tables, "MetaCat results tables"),
-    "micol": (tables.micol_table, "MICoL results table"),
-    "summary": (lambda seed=0, fast=True, **engine_kwargs:
-                tables.summary_table(),
-                "Method capability summary"),
+    "westclass": "WeSTClass results table",
+    "conwea": "ConWea results table",
+    "lotclass-predictions": "LOTClass Table 1 (MLM replacement predictions)",
+    "lotclass": "LOTClass results table",
+    "xclass-data": "X-Class dataset statistics",
+    "xclass": "X-Class results table",
+    "promptclass": "PromptClass results table",
+    "weshclass": "WeSHClass results table",
+    "taxoclass": "TaxoClass results table",
+    "taxogen": "Taxonomy-repair ablation (given/perturbed/repaired)",
+    "metacat": "MetaCat results tables",
+    "micol": "MICoL results table",
+    "summary": "Method capability summary",
 }
 
 FIGURES = {
@@ -119,11 +115,15 @@ def _prune_plm_archives(plm_dir: Path) -> tuple:
 
 
 def _prune_hidden_states(enc_dir: Path, archives: list) -> tuple:
-    """``(kept, removed)`` encode-cache namespace directories.
+    """``(kept, removed, legacy)`` encode-cache namespace directories and
+    per-document ``.npz`` files.
 
     A namespace is one PLM's directory of hidden-state shards, named by
     its ``cache_namespace``. Only the kept archives' models are live;
     every other namespace goes (a wrong sweep only costs a re-encode).
+    ``<namespace>/<key>.npz`` files are hidden states of the retired
+    per-document disk tier: no code reads them, so all of them go, and
+    so does a directory they leave empty.
     """
     live = set()
     for archive in archives:
@@ -131,19 +131,26 @@ def _prune_hidden_states(enc_dir: Path, archives: list) -> tuple:
             live.add(load_plm(archive).cache_namespace)
         except ArtifactError:
             continue  # unreadable: the next run pre-trains it again
-    kept = removed = 0
+    kept = removed = legacy = 0
     for path in sorted(enc_dir.glob("*")):
         # enc_dir is user-set and may hold other data: touch only
-        # digest-named directories of shards.
-        if not (_NAMESPACE.fullmatch(path.name)
-                and any(path.glob("shard_*"))):
+        # digest-named directories, and in them only shards and .npz.
+        if not (_NAMESPACE.fullmatch(path.name) and path.is_dir()):
+            continue
+        stale = list(path.glob("*.npz"))
+        for file in stale:
+            file.unlink(missing_ok=True)
+        legacy += len(stale)
+        if not any(path.glob("shard_*")):
+            if stale and not any(path.iterdir()):
+                path.rmdir()
             continue
         if path.name in live:
             kept += 1
         else:
             removed += 1
             shutil.rmtree(path, ignore_errors=True)
-    return kept, removed
+    return kept, removed, legacy
 
 
 def _cache_prune(seed: int, fast: bool) -> int:
@@ -183,8 +190,10 @@ def _cache_prune(seed: int, fast: bool) -> int:
     plm_dir = enc_dir / "plm"
     archives, removed_plm = _prune_plm_archives(plm_dir)
     print(f"plm:  kept {len(archives)}, removed {removed_plm} ({plm_dir})")
-    kept_enc, removed_enc = _prune_hidden_states(enc_dir, archives)
+    kept_enc, removed_enc, legacy = _prune_hidden_states(enc_dir, archives)
     print(f"enc:  kept {kept_enc}, removed {removed_enc} ({enc_dir})")
+    print(f"npz:  removed {legacy} legacy per-document hidden states "
+          f"({enc_dir})")
     return 0
 
 
@@ -221,7 +230,7 @@ def main(argv: "list | None" = None) -> int:
 
     if args.list or not args.experiment:
         print("tables:")
-        for key, (_, description) in TABLES.items():
+        for key, description in TABLES.items():
             print(f"  {key:<22} {description}")
         print("figures:")
         for key, description in FIGURES.items():
@@ -236,11 +245,8 @@ def main(argv: "list | None" = None) -> int:
             print(f"unknown experiment {name!r}; use --list", file=sys.stderr)
             return 2
 
-    run_kwargs = dict(jobs=args.jobs,
-                      use_cache=False if args.no_cache else None,
-                      timeout=args.timeout)
-    # Tables with a compile hook share ONE artifact graph per invocation
-    # (cross-table corpus/encode dedup); the rest run individually.
+    # Every table but ``summary`` compiles into ONE artifact graph per
+    # invocation (cross-table corpus/encode dedup).
     batched = [n for n in names if n in tables.REQUESTS]
     label = "+".join(names)
 
@@ -253,27 +259,21 @@ def main(argv: "list | None" = None) -> int:
             if batched:
                 requests = [tables.REQUESTS[n](args.seed, not args.full)
                             for n in batched]
-                results = scheduler.run_requests(requests,
-                                                 select=args.select,
-                                                 **run_kwargs)
+                results = scheduler.run_requests(
+                    requests, jobs=args.jobs,
+                    use_cache=False if args.no_cache else None,
+                    timeout=args.timeout, select=args.select)
                 for name in batched:
-                    _, description = TABLES[name]
-                    print(format_table(results[name], title=description))
+                    print(format_table(results[name], title=TABLES[name]))
                 footer = _dag_footer()
                 if footer:
                     print(footer)
             for name in names:
-                if name in batched:
-                    continue
                 if name in FIGURES:
                     _run_figure(name, args.seed)
-                    continue
-                fn, description = TABLES[name]
-                rows = fn(seed=args.seed, fast=not args.full, **run_kwargs)
-                print(format_table(rows, title=description))
-                footer = _dag_footer()
-                if footer:
-                    print(footer)
+                elif name == "summary":
+                    print(format_table(tables.summary_table(),
+                                       title=TABLES[name]))
     finally:
         if trace_dir is not None:
             tracer = obs.disable()

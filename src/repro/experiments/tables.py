@@ -1,14 +1,14 @@
-"""One function per paper table; each returns printable row dicts.
+"""One compile hook per paper table, registered in :data:`REQUESTS`.
 
-Every function takes ``seed`` (dataset + method seeding) and ``fast``
-(True = fewer datasets / lighter methods; the default used by the bench
-suite so a full run stays CPU-friendly), plus the scheduler knobs
-``jobs``, ``use_cache`` and ``timeout`` (see
-:mod:`repro.experiments.scheduler`).
+``REQUESTS[name](seed, fast)`` returns the table's
+:class:`~repro.experiments.dag.TableRequest`: ``seed`` seeds datasets and
+methods, ``fast`` (True = fewer datasets / lighter methods) keeps a run
+CPU-friendly. :func:`~repro.experiments.scheduler.run_requests` runs
+requests, from the CLI, the benches and the tests alike.
 Absolute numbers are not expected to match the paper — the *orderings*
 asserted in the benches are.
 
-Tables compile into :class:`~repro.experiments.dag.DagNode` graphs
+Hooks compile rows into :class:`~repro.experiments.dag.DagNode` graphs
 (:func:`_table_request`): a module-level runner function plus plain-data
 kwargs per row, never closures over live PLM/bundle objects, so nodes
 pickle cleanly into spawn workers and key the artifact store. Runners
@@ -82,7 +82,6 @@ from repro.experiments.dag import (
     source_component,
 )
 from repro.experiments.engine import SKIP_ROW, derive_row_seed
-from repro.experiments.scheduler import run_requests
 from repro.experiments.runner import (
     evaluate_flat,
     evaluate_multilabel,
@@ -280,14 +279,6 @@ def _table_request(table: str, seed: int, items: list,
                         post=post)
 
 
-def _run_table(request: TableRequest, *, jobs, use_cache, timeout,
-               select=None, cache_dir=None) -> list:
-    """Run one compiled table through the scheduler; returns its rows."""
-    return run_requests([request], jobs=jobs, use_cache=use_cache,
-                        timeout=timeout, cache_dir=cache_dir,
-                        select=select)[request.table]
-
-
 # ---------------------------------------------------------------------------
 # T-WESTCLASS
 # ---------------------------------------------------------------------------
@@ -341,17 +332,6 @@ def westclass_request(seed: int = 0, fast: bool = True) -> TableRequest:
          scope_for(_WESTCLASS_METHODS[method][0]))
         for name in datasets for method in _WESTCLASS_METHODS
     ])
-
-
-def westclass_table(seed: int = 0, fast: bool = True, *,
-                    jobs: "int | None" = None,
-                    use_cache: "bool | None" = None,
-                    timeout: "float | None" = None,
-                    select=None, cache_dir=None) -> list:
-    """WeSTClass results table: 3 corpora x 3 supervision types."""
-    return _run_table(westclass_request(seed, fast), jobs=jobs,
-                      use_cache=use_cache, timeout=timeout, select=select,
-                      cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +388,6 @@ def conwea_request(seed: int = 0, fast: bool = True) -> TableRequest:
     return _table_request("conwea", seed, items)
 
 
-def conwea_table(seed: int = 0, fast: bool = True, *,
-                 jobs: "int | None" = None,
-                 use_cache: "bool | None" = None,
-                 timeout: "float | None" = None,
-                 select=None, cache_dir=None) -> list:
-    """ConWea results: coarse/fine views of two tree corpora + ablations."""
-    return _run_table(conwea_request(seed, fast), jobs=jobs,
-                      use_cache=use_cache, timeout=timeout, select=select,
-                      cache_dir=cache_dir)
-
-
 # ---------------------------------------------------------------------------
 # T-LOTCLASS-1 (the MLM replacement-prediction demonstration)
 # ---------------------------------------------------------------------------
@@ -444,32 +413,22 @@ def _lotclass_prediction_row(row_seed: int, theme: str, word: str,
     }
 
 
-def lotclass_prediction_request(seed: int = 0, fast: bool = True,
-                                word: str = "goal",
-                                themes: tuple = ("sports", "business"),
-                                ) -> TableRequest:
+#: Table 1's surface form and the two topical contexts it is masked in.
+_LOTCLASS_PREDICTION_WORD = "goal"
+_LOTCLASS_PREDICTION_THEMES = ("sports", "business")
+
+
+def lotclass_prediction_request(seed: int = 0,
+                                fast: bool = True) -> TableRequest:
     """Compiled Table-1 pipeline (``fast`` accepted for registry
     uniformity; the demonstration has no full variant)."""
+    word = _LOTCLASS_PREDICTION_WORD
     return _table_request("lotclass-predictions", seed, [
         (f"agnews/{theme}/{word}", _lotclass_prediction_row,
          {"theme": theme, "word": word, "table_seed": seed},
          {}, "agnews", "plain", True, ())
-        for theme in themes
+        for theme in _LOTCLASS_PREDICTION_THEMES
     ])
-
-
-def lotclass_prediction_rows(seed: int = 0, word: str = "goal",
-                             themes: tuple = ("sports", "business"), *,
-                             jobs: "int | None" = None,
-                             use_cache: "bool | None" = None,
-                             timeout: "float | None" = None,
-                             select=None, cache_dir=None) -> list:
-    """Paper Table 1 analog: MLM predictions for one surface form in two
-    different topical contexts."""
-    return _run_table(lotclass_prediction_request(seed, word=word,
-                                                  themes=themes),
-                      jobs=jobs, use_cache=use_cache, timeout=timeout,
-                      select=select, cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +474,6 @@ def lotclass_request(seed: int = 0, fast: bool = True) -> TableRequest:
     ])
 
 
-def lotclass_table(seed: int = 0, fast: bool = True, *,
-                   jobs: "int | None" = None,
-                   use_cache: "bool | None" = None,
-                   timeout: "float | None" = None,
-                   select=None, cache_dir=None) -> list:
-    """LOTClass results table (accuracy, label names only)."""
-    return _run_table(lotclass_request(seed, fast), jobs=jobs,
-                      use_cache=use_cache, timeout=timeout, select=select,
-                      cache_dir=cache_dir)
-
-
 # ---------------------------------------------------------------------------
 # T-XCLASS-DATA / T-XCLASS
 # ---------------------------------------------------------------------------
@@ -555,17 +503,6 @@ def xclass_dataset_request(seed: int = 0, fast: bool = True) -> TableRequest:
          {"profile": name, "table_seed": seed}, {}, name, "plain", False, ())
         for name in names
     ])
-
-
-def xclass_dataset_table(seed: int = 0, fast: bool = True, *,
-                         jobs: "int | None" = None,
-                         use_cache: "bool | None" = None,
-                         timeout: "float | None" = None,
-                         select=None, cache_dir=None) -> list:
-    """X-Class dataset-statistics table."""
-    return _run_table(xclass_dataset_request(seed, fast), jobs=jobs,
-                      use_cache=use_cache, timeout=timeout, select=select,
-                      cache_dir=cache_dir)
 
 
 _XCLASS_METHODS = {
@@ -602,17 +539,6 @@ def xclass_request(seed: int = 0, fast: bool = True) -> TableRequest:
          scope_for(_XCLASS_METHODS[method][0]))
         for name in names for method in _XCLASS_METHODS
     ])
-
-
-def xclass_table(seed: int = 0, fast: bool = True, *,
-                 jobs: "int | None" = None,
-                 use_cache: "bool | None" = None,
-                 timeout: "float | None" = None,
-                 select=None, cache_dir=None) -> list:
-    """X-Class results table (micro/macro F1, label names only)."""
-    return _run_table(xclass_request(seed, fast), jobs=jobs,
-                      use_cache=use_cache, timeout=timeout, select=select,
-                      cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -679,17 +605,6 @@ def promptclass_request(seed: int = 0, fast: bool = True) -> TableRequest:
     ])
 
 
-def promptclass_table(seed: int = 0, fast: bool = True, *,
-                      jobs: "int | None" = None,
-                      use_cache: "bool | None" = None,
-                      timeout: "float | None" = None,
-                      select=None, cache_dir=None) -> list:
-    """PromptClass results table (micro/macro F1, label names only)."""
-    return _run_table(promptclass_request(seed, fast), jobs=jobs,
-                      use_cache=use_cache, timeout=timeout, select=select,
-                      cache_dir=cache_dir)
-
-
 # ---------------------------------------------------------------------------
 # T-WESHCLASS
 # ---------------------------------------------------------------------------
@@ -753,17 +668,6 @@ def weshclass_request(seed: int = 0, fast: bool = True) -> TableRequest:
          scope_for(_WESHCLASS_METHODS[method][0]))
         for name in profiles for method in _WESHCLASS_METHODS
     ])
-
-
-def weshclass_table(seed: int = 0, fast: bool = True, *,
-                    jobs: "int | None" = None,
-                    use_cache: "bool | None" = None,
-                    timeout: "float | None" = None,
-                    select=None, cache_dir=None) -> list:
-    """WeSHClass results table: trees x {KEYWORDS, DOCS} + ablations."""
-    return _run_table(weshclass_request(seed, fast), jobs=jobs,
-                      use_cache=use_cache, timeout=timeout, select=select,
-                      cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -883,17 +787,6 @@ def taxoclass_request(seed: int = 0, fast: bool = True) -> TableRequest:
     ])
 
 
-def taxoclass_table(seed: int = 0, fast: bool = True, *,
-                    jobs: "int | None" = None,
-                    use_cache: "bool | None" = None,
-                    timeout: "float | None" = None,
-                    select=None, cache_dir=None) -> list:
-    """TaxoClass results table (Example-F1, P@1) on DAG profiles."""
-    return _run_table(taxoclass_request(seed, fast), jobs=jobs,
-                      use_cache=use_cache, timeout=timeout, select=select,
-                      cache_dir=cache_dir)
-
-
 # ---------------------------------------------------------------------------
 # T-TAXOGEN
 # ---------------------------------------------------------------------------
@@ -981,17 +874,6 @@ def taxogen_request(seed: int = 0, fast: bool = True) -> TableRequest:
     ])
 
 
-def taxogen_table(seed: int = 0, fast: bool = True, *,
-                  jobs: "int | None" = None,
-                  use_cache: "bool | None" = None,
-                  timeout: "float | None" = None,
-                  select=None, cache_dir=None) -> list:
-    """Taxonomy-repair ablation (given vs perturbed vs repaired DAG)."""
-    return _run_table(taxogen_request(seed, fast), jobs=jobs,
-                      use_cache=use_cache, timeout=timeout, select=select,
-                      cache_dir=cache_dir)
-
-
 # ---------------------------------------------------------------------------
 # T-METACAT
 # ---------------------------------------------------------------------------
@@ -1046,17 +928,6 @@ def metacat_request(seed: int = 0, fast: bool = True) -> TableRequest:
                           "plm" in _METACAT_METHODS[method][2],
                           scope_for(_METACAT_METHODS[method][0])))
     return _table_request("metacat", seed, items)
-
-
-def metacat_tables(seed: int = 0, fast: bool = True, *,
-                   jobs: "int | None" = None,
-                   use_cache: "bool | None" = None,
-                   timeout: "float | None" = None,
-                   select=None, cache_dir=None) -> list:
-    """MetaCat Tables 2+3: micro and macro F1 on the metadata profiles."""
-    return _run_table(metacat_request(seed, fast), jobs=jobs,
-                      use_cache=use_cache, timeout=timeout, select=select,
-                      cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -1130,7 +1001,7 @@ def _micol_row(row_seed: int, profile: str, method: str,
     }
 
 
-def _micol_post(profiles: list, seed: int, significance: bool):
+def _micol_post(profiles: list, seed: int):
     """Post-assembly hook: pop hidden P@5 scores, mark significance.
 
     Runs in the parent over the assembled rows — table-level work that
@@ -1142,8 +1013,7 @@ def _micol_post(profiles: list, seed: int, significance: bool):
         from repro.evaluation.significance import paired_bootstrap_pvalue
 
         # Per-document P@5 scores ride along as a hidden column; pop
-        # them before rendering and (optionally) run the significance
-        # pass.
+        # them before rendering and run the significance pass.
         per_profile: "dict[str, dict[str, np.ndarray]]" = {}
         for row in rows:
             scores = row.pop("_p5_scores", None)
@@ -1151,41 +1021,39 @@ def _micol_post(profiles: list, seed: int, significance: bool):
                 per_profile.setdefault(row["Dataset"], {})[row["Method"]] = (
                     np.asarray(scores)
                 )
-        if significance:
-            for name in profiles:
-                per_method_scores = per_profile.get(name, {})
-                # The paper's ** markers: significantly below the best
-                # MICoL variant under a paired bootstrap on per-document
-                # P@5.
-                micol_names = [m for m in per_method_scores
-                               if m.startswith("MICoL")]
-                if not micol_names:
+        for name in profiles:
+            per_method_scores = per_profile.get(name, {})
+            # The paper's ** markers: significantly below the best
+            # MICoL variant under a paired bootstrap on per-document
+            # P@5.
+            micol_names = [m for m in per_method_scores
+                           if m.startswith("MICoL")]
+            if not micol_names:
+                continue
+            best_micol = max(micol_names,
+                             key=lambda m: per_method_scores[m].mean())
+            reference = per_method_scores[best_micol]
+            for row in rows:
+                if row["Dataset"] != name:
                     continue
-                best_micol = max(micol_names,
-                                 key=lambda m: per_method_scores[m].mean())
-                reference = per_method_scores[best_micol]
-                for row in rows:
-                    if row["Dataset"] != name:
-                        continue
-                    method_name = row["Method"]
-                    if method_name.startswith(("MICoL", "MATCH")):
-                        row["sig"] = ""
-                        continue
-                    if method_name not in per_method_scores:
-                        continue  # error row: no per-document scores
-                    p_value = paired_bootstrap_pvalue(
-                        reference, per_method_scores[method_name], seed=seed
-                    )
-                    row["sig"] = "**" if p_value < 0.01 else (
-                        "*" if p_value < 0.05 else ""
-                    )
+                method_name = row["Method"]
+                if method_name.startswith(("MICoL", "MATCH")):
+                    row["sig"] = ""
+                    continue
+                if method_name not in per_method_scores:
+                    continue  # error row: no per-document scores
+                p_value = paired_bootstrap_pvalue(
+                    reference, per_method_scores[method_name], seed=seed
+                )
+                row["sig"] = "**" if p_value < 0.01 else (
+                    "*" if p_value < 0.05 else ""
+                )
         return rows
 
     return post
 
 
-def micol_request(seed: int = 0, fast: bool = True,
-                  significance: bool = True) -> TableRequest:
+def micol_request(seed: int = 0, fast: bool = True) -> TableRequest:
     """Compiled MICoL pipeline with the significance post-pass."""
     profiles = ["magcs"] if fast else ["magcs", "pubmed"]
     return _table_request("micol", seed, [
@@ -1195,24 +1063,7 @@ def micol_request(seed: int = 0, fast: bool = True,
          method not in ("Doc2Vec", "SciBERT"),
          scope_for(MICoL, MATCH))
         for name in profiles for method in _MICOL_METHODS
-    ], post=_micol_post(profiles, seed, significance))
-
-
-def micol_table(seed: int = 0, fast: bool = True,
-                significance: bool = True, *,
-                jobs: "int | None" = None,
-                use_cache: "bool | None" = None,
-                timeout: "float | None" = None,
-                select=None, cache_dir=None) -> list:
-    """MICoL results table (P@k, NDCG@k) with the MATCH crossover rows.
-
-    With ``significance`` on, zero-shot rows whose per-document P@5 is
-    significantly below the best MICoL variant (one-sided paired
-    bootstrap, p < 0.01) carry the paper's ``**`` marker.
-    """
-    return _run_table(micol_request(seed, fast, significance), jobs=jobs,
-                      use_cache=use_cache, timeout=timeout, select=select,
-                      cache_dir=cache_dir)
+    ], post=_micol_post(profiles, seed))
 
 
 class _StaticConceptRanker(_MLBase):
@@ -1261,10 +1112,11 @@ def summary_table() -> list:
 # Request registry
 # ---------------------------------------------------------------------------
 
-#: Table name -> ``(seed, fast) -> TableRequest`` compile hook. The CLI
-#: compiles every requested table through this registry into ONE shared
-#: graph, so corpus/encode nodes dedup across tables in a single run.
-#: ``summary`` is registry-generated (no pipeline) and stays off the DAG.
+#: Table name -> ``(seed, fast) -> TableRequest`` compile hook, the only
+#: way a table runs: pass the requests to ``run_requests``. The CLI
+#: compiles every requested table into ONE shared graph, so corpus/encode
+#: nodes dedup across tables in a single run. ``summary`` is
+#: registry-generated (no pipeline) and stays off the DAG.
 REQUESTS = {
     "westclass": westclass_request,
     "conwea": conwea_request,

@@ -478,6 +478,13 @@ def test_cache_prune_cli_reports_both_stores(tmp_path, monkeypatch, capsys,
     for namespace in (live_ns, stale_ns):
         namespace.mkdir()
         (namespace / "shard_0.idx.json").write_text("{}")
+    # Per-document .npz hidden states of the retired disk tier go, in a
+    # live namespace and in a directory that holds nothing else.
+    npz_only = enc_dir / ("2" * 32)
+    npz_only.mkdir()
+    legacy = [live_ns / "doc.npz", npz_only / "a.npz", npz_only / "b.npz"]
+    for path in legacy:
+        path.write_bytes(b"npz")
     # The cache directory is user-set and may hold data the cache does
     # not own: a directory that is not a namespace of shards survives.
     foreign = [enc_dir / "rows", enc_dir / ("1" * 32)]
@@ -491,10 +498,15 @@ def test_cache_prune_cli_reports_both_stores(tmp_path, monkeypatch, capsys,
     assert "dag:  kept 1, removed 1" in out
     assert f"plm:  kept 1, removed 1 ({plm_dir})" in out
     assert f"enc:  kept 1, removed 1 ({enc_dir})" in out
+    assert (f"npz:  removed 3 legacy per-document hidden states "
+            f"({enc_dir})") in out
     assert not list(tmp_path.glob("*.json"))
     assert (dag_dir / "live.json").exists()
     assert live.exists() and not stale.parent.exists()
     assert live_ns.exists() and not stale_ns.exists()
+    assert (live_ns / "shard_0.idx.json").exists()
+    assert not any(path.exists() for path in legacy)
+    assert not npz_only.exists()
     assert all((directory / "keep.json").exists() for directory in foreign)
 
 

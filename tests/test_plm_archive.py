@@ -16,7 +16,7 @@ import pytest
 from repro import obs
 from repro.datasets import load_profile
 from repro.experiments import tables
-from repro.experiments.scheduler import take_last_dag_report
+from repro.experiments.scheduler import run_requests, take_last_dag_report
 from repro.plm import provider
 from repro.plm.config import PLMConfig
 from repro.plm.io import load_plm, save_plm
@@ -119,12 +119,18 @@ def test_unreadable_archive_is_rebuilt_not_fatal(fresh_provider, tmp_path,
 TAXOGEN_SEED = 1
 
 
+def _taxogen(**run_kwargs) -> list:
+    """The fast taxogen table's rows at :data:`TAXOGEN_SEED`."""
+    request = tables.REQUESTS["taxogen"](TAXOGEN_SEED, True)
+    return run_requests([request], **run_kwargs)["taxogen"]
+
+
 @pytest.fixture(scope="module")
 def cold_taxogen(tmp_path_factory):
     """A cold ``taxogen --jobs 2`` run: its store and traced counters."""
     cache_dir = tmp_path_factory.mktemp("taxogen-rows")
-    rows, counts = _counted(lambda: tables.taxogen_table(
-        seed=TAXOGEN_SEED, jobs=2, use_cache=True, cache_dir=cache_dir))
+    rows, counts = _counted(lambda: _taxogen(
+        jobs=2, use_cache=True, cache_dir=cache_dir))
     return cache_dir, rows, counts
 
 
@@ -147,9 +153,8 @@ def test_dirty_select_of_a_plm_row_runs_no_pretraining(cold_taxogen,
                                                        fresh_provider):
     cache_dir, rows, _ = cold_taxogen
     row = "taxogen.arxiv_sections/TaxoClass/given"
-    again, counts = _counted(lambda: tables.taxogen_table(
-        seed=TAXOGEN_SEED, jobs=1, use_cache=True, cache_dir=cache_dir,
-        select=[row]))
+    again, counts = _counted(lambda: _taxogen(
+        jobs=1, use_cache=True, cache_dir=cache_dir, select=[row]))
     report = take_last_dag_report()
     assert report.statuses[row] == "executed" and report.executed == 1
     assert counts.get("plm.pretrains", 0) == 0
